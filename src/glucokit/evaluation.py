@@ -176,21 +176,22 @@ def group_readings(p: PairedReadings, key: str) -> dict[str, PairedReadings]:
 def paired_readings(model, data: Dataset, kind: str) -> PairedReadings:
     """Predict every sample carrying a reference of the requested kind.
 
-    model is any TrainedModel (anything with predict(voltages) -> Prediction).
+    model is any TrainedModel (anything with predict_batch(voltages)); the
+    whole dataset is predicted in one batch.
     """
     rows = [s for s in data.samples if s.reference(kind) is not None]
     if not rows:
         raise DataError(f"no samples carry a {kind} reference")
-    refs, preds, tags = [], [], []
-    for s in rows:
-        refs.append(s.reference(kind).value_mgdl)
-        preds.append(model.predict(s.voltages).value_mgdl)
-        tags.append({
+    preds = model.predict_batch([s.voltages for s in rows])
+    return PairedReadings(
+        tuple(s.reference(kind).value_mgdl for s in rows),
+        tuple(p.value_mgdl for p in preds),
+        tuple({
             "sex": s.sex,
             "mode": s.mode or "",
             "split": data.split_labels.get(s.id, ""),
-        })
-    return PairedReadings(tuple(refs), tuple(preds), tuple(tags))
+        } for s in rows),
+    )
 
 
 def evaluate(model, data: Dataset, kind: str) -> tuple[MetricsReport, CegResult]:

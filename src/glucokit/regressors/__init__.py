@@ -10,6 +10,16 @@ Model spec strings accepted by fit_model:
     svr:fine-gaussian      Gaussian, scale sqrt(3)/4
     svr:coarse-gaussian    Gaussian, scale 4*sqrt(3)
     dnn                    sigmoid network, 10 hidden layers of 10
+
+FAMILIES (io.py), the only family lookup, maps the name before a spec's colon
+to the family's model dataclass. A family plugs in by subclassing
+base.FamilyModel, setting `family`, `specs` (spec -> the options it fixes,
+e.g. an SVR kernel) and `options` (the caller's allow-list), implementing
+fit(Xs, ys, seed, **options) -> (fields, hyperparameters) and a vectorized
+decision(Z) -> (n,), and joining FAMILIES. FamilyModel does the rest once:
+fit_dataset prepares and standardizes the rows; predict_batch standardizes,
+decides, de-standardizes and clamps, the one numeric predict path (a single
+reading is a batch of one); params/from_params map the v1 document.
 """
 
 from __future__ import annotations
@@ -33,35 +43,31 @@ from .dnn import (
     train_dnn_lm,
 )
 from .features import FEATURE_NAMES, N_FEATURES, build_features, feature_matrix
-from .io import TrainedModel, load_model, model_from_dict, model_to_dict, save_model
+from .io import FAMILIES, TrainedModel, load_model, model_from_dict, model_to_dict, save_model
 from .mpr import Mpr3Model, fit_mpr3, predict_mpr3
 from .svr import KernelSpec, SvrModel, fit_svr, kernel_eval, kernel_matrix, predict_svr
 
-MODEL_SPECS = (
-    "mpr3",
-    "svr:linear", "svr:quadratic", "svr:cubic",
-    "svr:medium-gaussian", "svr:fine-gaussian", "svr:coarse-gaussian",
-    "dnn",
-)
-
-
-def _parse_kernel(name: str) -> KernelSpec:
-    if name in ("linear", "quadratic", "cubic"):
-        return KernelSpec(name)
-    if name.endswith("-gaussian"):
-        return KernelSpec.gaussian(name[: -len("-gaussian")])
-    raise DataError(f"unknown SVR kernel {name!r}")
+MODEL_SPECS = tuple(spec for f in FAMILIES.values() for spec in f.specs)
 
 
 def fit_model(model_spec: str, train: Dataset, kind: str, *,
               seed: int = 0, created_utc: str | None = None,
               **options) -> TrainedModel:
-    """Dispatch a fit by spec string; returns the model plus fit metadata.
+    """Fit the family a spec string names; returns the model plus fit metadata.
 
     options are family-specific: intercept (mpr3); eps, c (svr);
     hidden_layers, width, max_iters, sse_tol, lambda0 (dnn).
     """
-    rows = usable_samples(train, kind)
+    family = FAMILIES.get(model_spec.partition(":")[0])
+    if family is None or model_spec not in family.specs:
+        raise DataError(
+            f"unknown model spec {model_spec!r}; expected one of {MODEL_SPECS}"
+        )
+    bad = set(options) - family.options
+    if bad:
+        raise DataError(f"options {sorted(bad)} not valid for {model_spec!r}")
+    model, hyperparameters, rows = family.fit_dataset(
+        train, kind, seed, **family.specs[model_spec], **options)
     meta: dict = {
         "seed": seed,
         "n_train": len(rows),
@@ -69,43 +75,7 @@ def fit_model(model_spec: str, train: Dataset, kind: str, *,
     }
     if created_utc is not None:
         meta["created_utc"] = created_utc
-
-    def reject_unknown(allowed: set[str]) -> None:
-        bad = set(options) - allowed
-        if bad:
-            raise DataError(f"options {sorted(bad)} not valid for {model_spec!r}")
-
-    if model_spec == "mpr3":
-        reject_unknown({"intercept"})
-        model = fit_mpr3(train, kind, intercept=options.get("intercept", True))
-        meta["hyperparameters"] = {"intercept": options.get("intercept", True)}
-    elif model_spec.startswith("svr:"):
-        reject_unknown({"eps", "c"})
-        kernel = _parse_kernel(model_spec[len("svr:"):])
-        model = fit_svr(train, kind, kernel,
-                        eps=options.get("eps"), c=options.get("c"))
-        meta["hyperparameters"] = {
-            "kernel": kernel.kind,
-            "scale": kernel.scale,
-            "eps": model.eps,
-            "c": model.c,
-        }
-    elif model_spec == "dnn":
-        reject_unknown({"hidden_layers", "width", "max_iters", "sse_tol",
-                        "lambda0", "lambda_up", "lambda_down"})
-        cfg = DnnTrainConfig(seed=seed, **options)
-        model = train_dnn_lm(train, kind, cfg)
-        meta["hyperparameters"] = {
-            "hidden_layers": cfg.hidden_layers,
-            "width": cfg.width,
-            "lambda0": cfg.lambda0,
-            "max_iters": cfg.max_iters,
-            "sse_tol": cfg.sse_tol,
-        }
-    else:
-        raise DataError(
-            f"unknown model spec {model_spec!r}; expected one of {MODEL_SPECS}"
-        )
+    meta["hyperparameters"] = hyperparameters
     return TrainedModel(spec=model_spec, glucose_kind=kind, model=model, metadata=meta)
 
 

@@ -1,14 +1,18 @@
-"""Shared regression plumbing: standardization, output clamping, sample prep."""
+"""Shared regression plumbing: the family contract, standardization, sample
+prep, and the one batch predict path (standardize, decide, de-standardize,
+clamp) that every family runs through."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ..data import Dataset, Sample, GLUCOSE_KINDS
+from ..data import ChannelVoltages, Dataset, Sample, GLUCOSE_KINDS
 from ..errors import DataError
 
 CLAMP_LO_MGDL = 10.0
@@ -24,15 +28,14 @@ class Prediction:
     clamped: bool = False
 
 
-def clamp_glucose(value: float) -> tuple[float, bool]:
-    """Pull a raw model output into [10, 600] mg/dl; flags when clamping fired."""
-    if not math.isfinite(value):
-        raise DataError(f"model produced non-finite glucose {value!r}")
-    if value < CLAMP_LO_MGDL:
-        return CLAMP_LO_MGDL, True
-    if value > CLAMP_HI_MGDL:
-        return CLAMP_HI_MGDL, True
-    return value, False
+def clamp_glucose(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pull raw model outputs into [10, 600] mg/dl; the mask flags clamped ones."""
+    raw = np.asarray(raw, dtype=float)
+    bad = ~np.isfinite(raw)
+    if bad.any():
+        raise DataError(f"model produced non-finite glucose {float(raw[bad][0])!r}")
+    values = np.clip(raw, CLAMP_LO_MGDL, CLAMP_HI_MGDL)
+    return values, values != raw
 
 
 @dataclass(frozen=True)
@@ -96,3 +99,80 @@ def split_hash(rows: list[Sample]) -> str:
     """Stable fingerprint of the training membership (ids only, order-free)."""
     joined = "\n".join(sorted(s.id for s in rows))
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
+
+
+def _to_json(v):
+    if is_dataclass(v):
+        return {f.name: _to_json(getattr(v, f.name)) for f in fields(v)}
+    return [_to_json(x) for x in v] if isinstance(v, tuple) else v
+
+
+@functools.cache
+def _decoder(hint) -> Callable:
+    """JSON -> value of a field typed `hint`: dataclasses field by field,
+    (nested) tuples from arrays, float fields through float(). Type hints are
+    slow to resolve and fixed per class, so each decoder is built once."""
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        parts = [(f.name, _decoder(hints[f.name])) for f in fields(hint)]
+        return lambda v: hint(**{name: dec(v[name]) for name, dec in parts})
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        if get_origin(item) is not tuple:
+            return tuple
+        dec = _decoder(item)
+        return lambda v: tuple(map(dec, v))
+    return float if hint is float else (lambda v: v)
+
+
+class FamilyModel:
+    """The shared half of the model-family contract (see the package doc).
+
+    A family's frozen model dataclass subclasses this, sets `family`,
+    `specs` and `options`, overrides the defaults below where they differ,
+    and implements the classmethod fit and the method decision.
+    """
+
+    min_samples = 2
+    standardize_response = True
+
+    @classmethod
+    def fit_dataset(cls, train: Dataset, kind: str, seed: int = 0,
+                    **options) -> tuple[FamilyModel, dict, list[Sample]]:
+        """usable_samples -> design_arrays -> Standardizer.fit, once, then the
+        family's fit on the standardized arrays; returns the model, its
+        hyperparameters and the training rows."""
+        rows = usable_samples(train, kind)
+        if len(rows) < cls.min_samples:
+            raise DataError(
+                f"need at least {cls.min_samples} samples with a {kind} reference "
+                f"to fit {cls.family}, got {len(rows)}"
+            )
+        X, y = design_arrays(rows, kind)
+        scalers = {"x_scaler": Standardizer.fit(X)}
+        if cls.standardize_response:
+            scalers["y_scaler"] = Standardizer.fit(y)
+            y = scalers["y_scaler"].transform(y)
+        fitted, hyperparameters = cls.fit(scalers["x_scaler"].transform(X), y, seed, **options)
+        return cls(**fitted, **scalers, glucose_kind=kind), hyperparameters, rows
+
+    def predict_batch(self, voltages: list[ChannelVoltages]) -> list[Prediction]:
+        """Every prediction of every family: standardize, decide, de-standardize, clamp."""
+        V = np.array([v.as_array() for v in voltages], dtype=float).reshape(-1, 3)
+        raw = self.y_scaler.inverse(self.decision(self.x_scaler.transform(V)))
+        values, clamped = clamp_glucose(raw)
+        return [Prediction(float(x), self.glucose_kind, bool(c))
+                for x, c in zip(values, clamped)]
+
+    def params(self) -> dict:
+        """The "params" of a v1 model document: every field but glucose_kind,
+        nested dataclasses as objects, tuples as arrays. Field declaration
+        order is the document's key order, so it must not change."""
+        doc = _to_json(self)
+        del doc["glucose_kind"]
+        return doc
+
+    @classmethod
+    def from_params(cls, params: dict, kind: str) -> FamilyModel:
+        """Inverse of params(); arrays become tuples, float fields floats."""
+        return _decoder(cls)(dict(params, glucose_kind=kind))

@@ -10,13 +10,14 @@ Jacobian comes from reverse-mode accumulation, one residual row per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 from ..data import ChannelVoltages, Dataset
 from ..errors import DataError, SolverError
-from .base import Prediction, Standardizer, clamp_glucose, design_arrays, usable_samples
+from .base import FamilyModel, Prediction, Standardizer, design_arrays, usable_samples
 
 LAMBDA_LIMIT = 1e10
 
@@ -57,8 +58,12 @@ class DnnTrainConfig:
 
 
 @dataclass(frozen=True)
-class DnnModel:
+class DnnModel(FamilyModel):
     """Weights per layer (row-major (out, in)), biases, and scalers."""
+
+    family: ClassVar[str] = "dnn"
+    specs: ClassVar[dict] = {"dnn": {}}
+    options: ClassVar[frozenset] = frozenset(f.name for f in fields(DnnTrainConfig)) - {"seed"}
 
     widths: tuple[int, ...]
     weights: tuple[tuple[tuple[float, ...], ...], ...]
@@ -87,6 +92,34 @@ class DnnModel:
             parts.append(np.asarray(w, dtype=float).ravel())
             parts.append(np.asarray(b, dtype=float))
         return np.concatenate(parts)
+
+    @classmethod
+    def fit(cls, Xs: np.ndarray, ys: np.ndarray, seed: int = 0, **options) -> tuple[dict, dict]:
+        """Levenberg-Marquardt on standardized data; deterministic per seed."""
+        cfg = DnnTrainConfig(seed=seed, **options)
+        widths = cfg.widths(n_inputs=3)
+        result = levenberg_marquardt(
+            lambda th: batch_residuals(widths, th, Xs, ys),
+            lambda th: batch_jacobian(widths, th, Xs),
+            init_theta(widths, cfg.seed), cfg,
+        )
+        ws, bs = layers_from_theta(widths, result.theta)
+        fitted = {
+            "widths": widths,
+            "weights": tuple(tuple(tuple(float(x) for x in row) for row in w) for w in ws),
+            "biases": tuple(tuple(float(x) for x in b) for b in bs),
+        }
+        hyperparameters = {
+            "hidden_layers": cfg.hidden_layers,
+            "width": cfg.width,
+            "lambda0": cfg.lambda0,
+            "max_iters": cfg.max_iters,
+            "sse_tol": cfg.sse_tol,
+        }
+        return fitted, hyperparameters
+
+    def decision(self, Z: np.ndarray) -> np.ndarray:
+        return forward_batch(self.widths, self.theta(), Z)
 
 
 def n_params(widths: tuple[int, ...]) -> int:
@@ -225,40 +258,12 @@ def levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray,
 
 def train_dnn_lm(train: Dataset, kind: str, cfg: DnnTrainConfig | None = None) -> DnnModel:
     """Fit the network on standardized voltages/response; deterministic per seed."""
-    cfg = cfg or DnnTrainConfig()
-    rows = usable_samples(train, kind)
-    if len(rows) < 2:
-        raise DataError(f"need at least 2 samples with a {kind} reference, got {len(rows)}")
-    X, y_raw = design_arrays(rows, kind)
-    x_scaler = Standardizer.fit(X)
-    y_scaler = Standardizer.fit(y_raw)
-    Xs = x_scaler.transform(X)
-    ys = y_scaler.transform(y_raw)
-    widths = cfg.widths(n_inputs=3)
-    theta0 = init_theta(widths, cfg.seed)
-    result = levenberg_marquardt(
-        lambda th: batch_residuals(widths, th, Xs, ys),
-        lambda th: batch_jacobian(widths, th, Xs),
-        theta0, cfg,
-    )
-    ws, bs = layers_from_theta(widths, result.theta)
-    return DnnModel(
-        widths=widths,
-        weights=tuple(tuple(tuple(float(x) for x in row) for row in w) for w in ws),
-        biases=tuple(tuple(float(x) for x in b) for b in bs),
-        x_scaler=x_scaler,
-        y_scaler=y_scaler,
-        glucose_kind=kind,
-    )
+    return DnnModel.fit_dataset(train, kind, **asdict(cfg or DnnTrainConfig()))[0]
 
 
 def dnn_forward(m: DnnModel, v: ChannelVoltages) -> Prediction:
     """One reading through the network; output de-standardized and clamped."""
-    z = m.x_scaler.transform(v.as_array())
-    out = forward_batch(m.widths, m.theta(), z[None, :])[0]
-    raw = float(m.y_scaler.inverse(np.array([out]))[0])
-    value, clamped = clamp_glucose(raw)
-    return Prediction(value, m.glucose_kind, clamped)
+    return m.predict_batch([v])[0]
 
 
 def dnn_jacobian(m: DnnModel, batch: Dataset) -> np.ndarray:

@@ -30,16 +30,7 @@ N_FEATURES = len(FEATURE_NAMES)
 
 def monomials(x: np.ndarray) -> np.ndarray:
     """Evaluate the 19 monomials of a 3-vector, in the documented order."""
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
-    return np.array([
-        x1 * x1 * x1, x2 * x2 * x2, x3 * x3 * x3,
-        x1 * x1 * x2, x1 * x1 * x3, x1 * x2 * x2, x1 * x3 * x3,
-        x2 * x2 * x3, x2 * x3 * x3,
-        x1 * x1, x2 * x2, x3 * x3,
-        x1 * x2 * x3,
-        x1 * x2, x1 * x3, x2 * x3,
-        x1, x2, x3,
-    ])
+    return feature_matrix([x])[0]
 
 
 def build_features(v: ChannelVoltages) -> np.ndarray:

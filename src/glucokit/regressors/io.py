@@ -12,30 +12,33 @@ from dataclasses import dataclass
 
 from ..data import ChannelVoltages
 from ..errors import DataError
-from .base import Prediction, Standardizer
-from .dnn import DnnModel, dnn_forward
-from .mpr import Mpr3Model, predict_mpr3
-from .svr import KernelSpec, SvrModel, predict_svr
+from .base import FamilyModel, Prediction
+from .dnn import DnnModel
+from .mpr import Mpr3Model
+from .svr import SvrModel
 
 FORMAT_NAME = "glucokit-model"
 FORMAT_VERSION = 1
+
+# The one model-family lookup: family name -> the family's model class.
+FAMILIES: dict[str, type[FamilyModel]] = {m.family: m for m in (Mpr3Model, SvrModel, DnnModel)}
 
 
 @dataclass(frozen=True)
 class TrainedModel:
     """A fitted model plus the metadata needed to reproduce and audit the fit."""
 
-    spec: str  # dispatch string, e.g. "mpr3", "svr:fine-gaussian", "dnn"
+    spec: str  # spec string, e.g. "mpr3", "svr:fine-gaussian", "dnn"
     glucose_kind: str
-    model: Mpr3Model | SvrModel | DnnModel
+    model: FamilyModel
     metadata: dict
 
+    def predict_batch(self, voltages: list[ChannelVoltages]) -> list[Prediction]:
+        """One prediction per reading, all through one vectorized pass."""
+        return self.model.predict_batch(voltages)
+
     def predict(self, v: ChannelVoltages) -> Prediction:
-        if isinstance(self.model, Mpr3Model):
-            return predict_mpr3(self.model, v)
-        if isinstance(self.model, SvrModel):
-            return predict_svr(self.model, v)
-        return dnn_forward(self.model, v)
+        return self.predict_batch([v])[0]
 
     @property
     def tag(self) -> str:
@@ -43,54 +46,15 @@ class TrainedModel:
         return f"{self.spec}:{self.glucose_kind}"
 
 
-def _scaler_dict(s: Standardizer) -> dict:
-    return {"means": list(s.means), "stds": list(s.stds)}
-
-
-def _scaler_from(d: dict) -> Standardizer:
-    return Standardizer(tuple(d["means"]), tuple(d["stds"]))
-
-
 def model_to_dict(tm: TrainedModel) -> dict:
-    m = tm.model
-    if isinstance(m, Mpr3Model):
-        family = "mpr3"
-        params = {
-            "coefficients": list(m.coefficients),
-            "intercept": m.intercept,
-            "x_scaler": _scaler_dict(m.x_scaler),
-        }
-    elif isinstance(m, SvrModel):
-        family = "svr"
-        params = {
-            "kernel": {"kind": m.kernel.kind, "scale": m.kernel.scale},
-            "beta": list(m.beta),
-            "bias": m.bias,
-            "eps": m.eps,
-            "c": m.c,
-            "train_inputs": [list(row) for row in m.train_inputs],
-            "x_scaler": _scaler_dict(m.x_scaler),
-            "y_scaler": _scaler_dict(m.y_scaler),
-        }
-    elif isinstance(m, DnnModel):
-        family = "dnn"
-        params = {
-            "widths": list(m.widths),
-            "weights": [[list(row) for row in w] for w in m.weights],
-            "biases": [list(b) for b in m.biases],
-            "x_scaler": _scaler_dict(m.x_scaler),
-            "y_scaler": _scaler_dict(m.y_scaler),
-        }
-    else:
-        raise DataError(f"cannot serialize model of type {type(m).__name__}")
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "spec": tm.spec,
-        "family": family,
+        "family": tm.model.family,
         "glucose_kind": tm.glucose_kind,
         "metadata": dict(tm.metadata),
-        "params": params,
+        "params": tm.model.params(),
     }
 
 
@@ -103,36 +67,9 @@ def model_from_dict(doc: dict) -> TrainedModel:
         kind = doc["glucose_kind"]
         family = doc["family"]
         params = doc["params"]
-        if family == "mpr3":
-            model = Mpr3Model(
-                coefficients=tuple(params["coefficients"]),
-                intercept=float(params["intercept"]),
-                x_scaler=_scaler_from(params["x_scaler"]),
-                glucose_kind=kind,
-            )
-        elif family == "svr":
-            model = SvrModel(
-                kernel=KernelSpec(params["kernel"]["kind"], params["kernel"]["scale"]),
-                beta=tuple(params["beta"]),
-                bias=float(params["bias"]),
-                eps=float(params["eps"]),
-                c=float(params["c"]),
-                train_inputs=tuple(tuple(row) for row in params["train_inputs"]),
-                x_scaler=_scaler_from(params["x_scaler"]),
-                y_scaler=_scaler_from(params["y_scaler"]),
-                glucose_kind=kind,
-            )
-        elif family == "dnn":
-            model = DnnModel(
-                widths=tuple(params["widths"]),
-                weights=tuple(tuple(tuple(row) for row in w) for w in params["weights"]),
-                biases=tuple(tuple(b) for b in params["biases"]),
-                x_scaler=_scaler_from(params["x_scaler"]),
-                y_scaler=_scaler_from(params["y_scaler"]),
-                glucose_kind=kind,
-            )
-        else:
+        if family not in FAMILIES:
             raise DataError(f"unknown model family {family!r}")
+        model = FAMILIES[family].from_params(params, kind)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model document: {exc!r}") from None
     return TrainedModel(

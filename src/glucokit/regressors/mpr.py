@@ -10,20 +10,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..data import ChannelVoltages, Dataset
 from ..errors import DataError, SolverError
-from .base import Prediction, Standardizer, clamp_glucose, design_arrays, usable_samples
-from .features import N_FEATURES, feature_matrix, monomials
+from .base import FamilyModel, Prediction, Standardizer
+from .features import N_FEATURES, feature_matrix
 
 CONDITION_LIMIT = 1e10
 
 
 @dataclass(frozen=True)
-class Mpr3Model:
+class Mpr3Model(FamilyModel):
     """Fitted cubic polynomial: 19 coefficients, intercept, input scaling."""
+
+    family: ClassVar[str] = "mpr3"
+    specs: ClassVar[dict] = {"mpr3": {}}
+    options: ClassVar[frozenset] = frozenset({"intercept"})
+    min_samples: ClassVar[int] = N_FEATURES + 1  # 19 coefficients + intercept
+    standardize_response: ClassVar[bool] = False
+    y_scaler: ClassVar[Standardizer] = Standardizer((0.0,), (1.0,))  # fitted in mg/dl
 
     coefficients: tuple[float, ...]
     intercept: float
@@ -36,48 +44,41 @@ class Mpr3Model:
         if not all(math.isfinite(c) for c in self.coefficients) or not math.isfinite(self.intercept):
             raise DataError("model coefficients must be finite")
 
+    @classmethod
+    def fit(cls, Xs: np.ndarray, y: np.ndarray, seed: int = 0, *,
+            intercept: bool = True) -> tuple[dict, dict]:
+        """Least-squares fit of the 19-term cubic polynomial (+ optional intercept).
+
+        Solved through an orthogonal decomposition (SVD-backed lstsq), never
+        the normal equations. Needs a design matrix with condition number
+        below 1e10.
+        """
+        Phi = feature_matrix(Xs)
+        if intercept:
+            design = np.hstack([Phi, np.ones((len(Phi), 1))])
+        else:
+            design = Phi
+        cond = np.linalg.cond(design)
+        if not math.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise SolverError(
+                f"design matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
+                "predictors are collinear or nearly so"
+            )
+        theta, *_ = np.linalg.lstsq(design, y, rcond=None)
+        coeffs = theta[:N_FEATURES]
+        eps = float(theta[N_FEATURES]) if intercept else 0.0
+        fitted = {"coefficients": tuple(float(c) for c in coeffs), "intercept": eps}
+        return fitted, {"intercept": intercept}
+
+    def decision(self, Z: np.ndarray) -> np.ndarray:
+        return feature_matrix(Z) @ np.asarray(self.coefficients) + self.intercept
+
 
 def fit_mpr3(train: Dataset, kind: str, *, intercept: bool = True) -> Mpr3Model:
-    """Least-squares fit of the 19-term cubic polynomial (+ optional intercept).
-
-    Solved through an orthogonal decomposition (SVD-backed lstsq), never the
-    normal equations. Needs at least 20 usable samples and a design matrix
-    with condition number below 1e10.
-    """
-    rows = usable_samples(train, kind)
-    n = len(rows)
-    if n < N_FEATURES + 1:
-        raise DataError(
-            f"need at least {N_FEATURES + 1} samples with a {kind} reference "
-            f"to fit 19 coefficients + intercept, got {n}"
-        )
-    X, y = design_arrays(rows, kind)
-    scaler = Standardizer.fit(X)
-    Phi = feature_matrix(scaler.transform(X))
-    if intercept:
-        design = np.hstack([Phi, np.ones((n, 1))])
-    else:
-        design = Phi
-    cond = np.linalg.cond(design)
-    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SolverError(
-            f"design matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
-            "predictors are collinear or nearly so"
-        )
-    theta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    coeffs = theta[:N_FEATURES]
-    eps = float(theta[N_FEATURES]) if intercept else 0.0
-    return Mpr3Model(
-        coefficients=tuple(float(c) for c in coeffs),
-        intercept=eps,
-        x_scaler=scaler,
-        glucose_kind=kind,
-    )
+    """Fit the cubic polynomial on z-scored voltages; needs 20 usable samples."""
+    return Mpr3Model.fit_dataset(train, kind, intercept=intercept)[0]
 
 
 def predict_mpr3(m: Mpr3Model, v: ChannelVoltages) -> Prediction:
     """Evaluate the polynomial at one reading; output clamped to [10, 600]."""
-    z = m.x_scaler.transform(v.as_array())
-    raw = float(np.dot(monomials(z), np.asarray(m.coefficients))) + m.intercept
-    value, clamped = clamp_glucose(raw)
-    return Prediction(value, m.glucose_kind, clamped)
+    return m.predict_batch([v])[0]

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..data import ChannelVoltages, Dataset
 from ..errors import DataError, SolverError
-from .base import Prediction, Standardizer, clamp_glucose, design_arrays, usable_samples
+from .base import FamilyModel, Prediction, Standardizer
 
 KERNEL_KINDS = ("linear", "quadratic", "cubic", "gaussian")
 N_PREDICTORS = 3
@@ -57,18 +58,7 @@ class KernelSpec:
 
 def kernel_eval(k: KernelSpec, u, v) -> float:
     """Scalar kernel value between two equal-length vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DataError(f"kernel arguments must be equal-length vectors, got {u.shape} and {v.shape}")
-    if k.kind == "linear":
-        return float(u @ v)
-    if k.kind == "quadratic":
-        return float((1.0 + u @ v) ** 2)
-    if k.kind == "cubic":
-        return float((1.0 + u @ v) ** 3)
-    d2 = float(((u - v) ** 2).sum())
-    return math.exp(-d2 / (2.0 * k.scale ** 2))
+    return float(kernel_matrix(k, [u], [v])[0, 0])
 
 
 def kernel_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -90,8 +80,19 @@ def kernel_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> 
 
 
 @dataclass(frozen=True)
-class SvrModel:
+class SvrModel(FamilyModel):
     """Converged dual solution plus everything needed to predict."""
+
+    family: ClassVar[str] = "svr"
+    specs: ClassVar[dict] = {
+        "svr:linear": {"kernel": KernelSpec("linear")},
+        "svr:quadratic": {"kernel": KernelSpec("quadratic")},
+        "svr:cubic": {"kernel": KernelSpec("cubic")},
+        "svr:medium-gaussian": {"kernel": KernelSpec.gaussian("medium")},
+        "svr:fine-gaussian": {"kernel": KernelSpec.gaussian("fine")},
+        "svr:coarse-gaussian": {"kernel": KernelSpec.gaussian("coarse")},
+    }
+    options: ClassVar[frozenset] = frozenset({"eps", "c"})
 
     kernel: KernelSpec
     beta: tuple[float, ...]
@@ -111,6 +112,41 @@ class SvrModel:
 
     def support_count(self, tol: float = 1e-9) -> int:
         return sum(1 for b in self.beta if abs(b) > tol)
+
+    @classmethod
+    def fit(cls, Xs: np.ndarray, ys: np.ndarray, seed: int = 0, *, kernel: KernelSpec,
+            eps: float | None = None, c: float | None = None,
+            tol: float = KKT_TOL, max_iters: int = MAX_SMO_ITERS) -> tuple[dict, dict]:
+        """Solve the dual on standardized data; eps/C default from the iqr."""
+        eps_def, c_def = default_hyperparams(ys)
+        eps = eps_def if eps is None else float(eps)
+        c = c_def if c is None else float(c)
+        if eps < 0:
+            raise DataError(f"eps must be >= 0, got {eps}")
+        if c <= 0:
+            raise DataError(f"C must be > 0, got {c}")
+        K = kernel_matrix(kernel, Xs)
+        evals = np.linalg.eigvalsh(K)
+        if evals[0] < -1e-8 * max(1.0, float(evals[-1])):
+            raise SolverError(
+                f"Gram matrix not PSD: min eigenvalue {evals[0]:.3e} (kernel bug?)"
+            )
+        beta, bias, _ = _solve_smo(K, ys, eps, c, tol, max_iters)
+        _check_kkt(beta, K @ beta, bias, ys, eps, c, tol)
+        fitted = {
+            "kernel": kernel,
+            "beta": tuple(float(b) for b in beta),
+            "bias": float(bias),
+            "eps": eps,
+            "c": c,
+            "train_inputs": tuple(tuple(float(v) for v in row) for row in Xs),
+        }
+        return fitted, {"kernel": kernel.kind, "scale": kernel.scale, "eps": eps, "c": c}
+
+    def decision(self, Z: np.ndarray) -> np.ndarray:
+        """Standardized-space f(z) = sum b_i k(x_i, z) + bias, one per row of Z."""
+        K = kernel_matrix(self.kernel, Z, np.asarray(self.train_inputs))
+        return K @ np.asarray(self.beta) + self.bias
 
 
 def default_hyperparams(y_std: np.ndarray) -> tuple[float, float]:
@@ -212,54 +248,15 @@ def fit_svr(train: Dataset, kind: str, kernel: KernelSpec,
             eps: float | None = None, c: float | None = None, *,
             tol: float = KKT_TOL, max_iters: int = MAX_SMO_ITERS) -> SvrModel:
     """Fit an SVR model; eps/C default to iqr-derived values when omitted."""
-    rows = usable_samples(train, kind)
-    n = len(rows)
-    if n < 2:
-        raise DataError(f"need at least 2 samples with a {kind} reference, got {n}")
-    X, y_raw = design_arrays(rows, kind)
-    x_scaler = Standardizer.fit(X)
-    y_scaler = Standardizer.fit(y_raw)
-    Xs = x_scaler.transform(X)
-    ys = y_scaler.transform(y_raw)
-    eps_def, c_def = default_hyperparams(ys)
-    eps = eps_def if eps is None else float(eps)
-    c = c_def if c is None else float(c)
-    if eps < 0:
-        raise DataError(f"eps must be >= 0, got {eps}")
-    if c <= 0:
-        raise DataError(f"C must be > 0, got {c}")
-    K = kernel_matrix(kernel, Xs)
-    evals = np.linalg.eigvalsh(K)
-    if evals[0] < -1e-8 * max(1.0, float(evals[-1])):
-        raise SolverError(
-            f"Gram matrix not PSD: min eigenvalue {evals[0]:.3e} (kernel bug?)"
-        )
-    beta, bias, _ = _solve_smo(K, ys, eps, c, tol, max_iters)
-    _check_kkt(beta, K @ beta, bias, ys, eps, c, tol)
-    return SvrModel(
-        kernel=kernel,
-        beta=tuple(float(b) for b in beta),
-        bias=float(bias),
-        eps=eps,
-        c=c,
-        train_inputs=tuple(tuple(float(v) for v in row) for row in Xs),
-        x_scaler=x_scaler,
-        y_scaler=y_scaler,
-        glucose_kind=kind,
-    )
+    return SvrModel.fit_dataset(train, kind, kernel=kernel, eps=eps, c=c,
+                                tol=tol, max_iters=max_iters)[0]
 
 
 def svr_decision(m: SvrModel, z: np.ndarray) -> float:
     """Standardized-space decision value f(z) = sum b_i k(x_i, z) + bias."""
-    Xs = np.asarray(m.train_inputs, dtype=float)
-    kvec = kernel_matrix(m.kernel, Xs, z[None, :])[:, 0]
-    return float(np.asarray(m.beta) @ kvec) + m.bias
+    return float(m.decision(z[None, :])[0])
 
 
 def predict_svr(m: SvrModel, v: ChannelVoltages) -> Prediction:
     """De-standardized prediction at one reading, clamped to [10, 600] mg/dl."""
-    z = m.x_scaler.transform(v.as_array())
-    f = svr_decision(m, z)
-    raw = float(m.y_scaler.inverse(np.array([f]))[0])
-    value, clamped = clamp_glucose(raw)
-    return Prediction(value, m.glucose_kind, clamped)
+    return m.predict_batch([v])[0]

@@ -114,8 +114,9 @@ class UploadQueue:
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.Lock()
         self._records: list[ReadingRecord] = []
+        self._ids: set[str] = set()
         self._acked: set[str] = set()
-        self._dead: dict[str, str] = {}
+        self._dead: dict[str, tuple[ReadingRecord, str]] = {}
         self._last_ts: dict[str, str] = {}
         self._load()
         self._queue_fh = open(self._path(QUEUE_LOG), "ab")
@@ -132,15 +133,19 @@ class UploadQueue:
             except (json.JSONDecodeError, DataError) as exc:
                 raise DataError(f"{QUEUE_LOG} line {lineno}: corrupt entry: {exc}") from None
             self._records.append(rec)
+            self._ids.add(rec.reading_id)
             prev = self._last_ts.get(rec.device_id)
             if prev is None or rec.timestamp_utc >= prev:
                 self._last_ts[rec.device_id] = rec.timestamp_utc
         self._acked = set(_read_lines(self._path(ACKED_LOG)))
         for lineno, line in enumerate(_read_lines(self._path(DEADLETTER_LOG)), start=1):
+            # each line holds the full wire record, so a dead letter outlives
+            # the compaction that drops it from queue.log
             try:
                 entry = json.loads(line)
-                self._dead[entry["reading_id"]] = entry.get("reason", "")
-            except (json.JSONDecodeError, KeyError) as exc:
+                rec = ReadingRecord.from_wire({k: v for k, v in entry.items() if k != "reason"})
+                self._dead[rec.reading_id] = (rec, entry.get("reason", ""))
+            except (AttributeError, ValueError, DataError) as exc:
                 raise DataError(f"{DEADLETTER_LOG} line {lineno}: corrupt entry: {exc!r}") from None
 
     @staticmethod
@@ -151,12 +156,12 @@ class UploadQueue:
 
     def known_ids(self) -> set[str]:
         with self._lock:
-            return {r.reading_id for r in self._records}
+            return set(self._ids)
 
     def enqueue(self, record: ReadingRecord) -> None:
         """Durably persist a reading; returns only after the bytes are synced."""
         with self._lock:
-            if any(r.reading_id == record.reading_id for r in self._records):
+            if record.reading_id in self._ids:
                 raise DataError(f"reading_id {record.reading_id!r} already enqueued")
             prev = self._last_ts.get(record.device_id)
             if prev is not None and record.timestamp_utc < prev:
@@ -166,6 +171,7 @@ class UploadQueue:
                 )
             self._append(self._queue_fh, json.dumps(record.to_wire(), sort_keys=True))
             self._records.append(record)
+            self._ids.add(record.reading_id)
             self._last_ts[record.device_id] = record.timestamp_utc
 
     def pending(self) -> list[ReadingRecord]:
@@ -193,16 +199,11 @@ class UploadQueue:
             entry = dict(record.to_wire())
             entry["reason"] = reason
             self._append(self._dead_fh, json.dumps(entry, sort_keys=True))
-            self._dead[record.reading_id] = reason
+            self._dead[record.reading_id] = (record, reason)
 
     def dead_letters(self) -> list[tuple[ReadingRecord, str]]:
         with self._lock:
-            by_id = {r.reading_id: r for r in self._records}
-            out = []
-            for rid, reason in self._dead.items():
-                if rid in by_id:
-                    out.append((by_id[rid], reason))
-            return out
+            return list(self._dead.values())
 
     def acked_count(self) -> int:
         with self._lock:
@@ -226,8 +227,16 @@ class UploadQueue:
                 os.fsync(fh.fileno())
             self._queue_fh.close()
             os.replace(tmp, self._path(QUEUE_LOG))
+            # the rename must be durable before acked.log is emptied, or a
+            # power loss could bring back the old queue.log with no acks
+            dir_fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
             self._queue_fh = open(self._path(QUEUE_LOG), "ab")
             self._records = keep
+            self._ids = {r.reading_id for r in keep}
             with open(self._path(ACKED_LOG), "wb") as fh:
                 fh.flush()
                 os.fsync(fh.fileno())

@@ -47,6 +47,7 @@ class TestRoundTrip:
             a, b = tm.predict(v), back.predict(v)
             assert a.value_mgdl == b.value_mgdl
             assert a.clamped == b.clamped and a.kind == b.kind
+        assert back.predict_batch(probe_voltages()) == tm.predict_batch(probe_voltages())
 
     def test_dict_round_trip_is_stable(self, dataset_factory):
         data = dataset_factory(n=22, seed=4)
@@ -62,6 +63,23 @@ class TestRoundTrip:
         assert doc["format"] == "glucokit-model" and doc["version"] == 1
         assert set(doc) == {"format", "version", "spec", "family",
                             "glucose_kind", "metadata", "params"}
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("spec", MODEL_SPECS)
+    def test_scalar_is_a_batch_of_one(self, spec, dataset_factory):
+        tm = fit_any(spec, dataset_factory(n=24, seed=1, noise_sd=2.0))
+        probes = probe_voltages(seed=5)
+        for v in probes:
+            assert tm.predict(v) == tm.predict_batch([v])[0]
+        # one pass over 12 rows may sum in another order than 12 one-row
+        # passes; mpr3's 19-term sums already differ by ~5e-10 mg/dl
+        batch = tm.predict_batch(probes)
+        singles = [tm.predict_batch([v])[0] for v in probes]
+        assert len(batch) == len(probes)
+        for b, one in zip(batch, singles):
+            assert b.value_mgdl == pytest.approx(one.value_mgdl, rel=0, abs=1e-8)
+            assert b.kind == one.kind
 
 
 class TestMalformedDocuments:

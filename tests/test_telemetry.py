@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import urllib.request
 
 import numpy as np
@@ -17,6 +18,7 @@ from glucokit.telemetry import (
     UploadQueue,
     sync,
 )
+from glucokit.telemetry import queue as queue_module
 from glucokit.telemetry.queue import QUEUE_LOG, WIRE_FIELDS
 
 
@@ -169,6 +171,48 @@ class TestUploadQueue:
         assert [json.loads(l)["reading_id"] for l in lines] == ["r-0002", "r-0003"]
         assert os.path.getsize(d / "acked.log") == 0
         assert "r-0001" in (d / "deadletter.log").read_text()
+
+    def test_compact_makes_rename_durable_before_emptying_acks(self, tmp_path, monkeypatch):
+        d = tmp_path / "q"
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                events.append(("fsync-dir", os.path.getsize(d / "acked.log")))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        with UploadQueue(d) as q:
+            for i in range(3):
+                q.enqueue(record(i))
+            q.mark_acked("r-0000")
+            monkeypatch.setattr(queue_module.os, "fsync", fsync)
+            monkeypatch.setattr(queue_module.os, "replace", replace)
+            q.compact()
+        kinds = [e[0] for e in events]
+        assert ("replace", QUEUE_LOG) in events and "fsync-dir" in kinds
+        after_replace = events[events.index(("replace", QUEUE_LOG)) + 1:]
+        # a directory fsync lands while acked.log still holds the ack
+        assert any(kind == "fsync-dir" and size > 0 for kind, size in after_replace)
+        assert os.path.getsize(d / "acked.log") == 0
+
+    def test_dead_letters_survive_compact_and_reopen(self, tmp_path):
+        d = tmp_path / "q"
+        with UploadQueue(d) as q:
+            for i in range(3):
+                q.enqueue(record(i))
+            q.mark_dead(q.pending()[1], "HTTP 400: bad")
+            before = q.dead_letters()
+            q.compact()
+            assert q.dead_letters() == before
+        with UploadQueue(d) as q:
+            assert q.dead_letters() == before
+            assert [r.reading_id for r, _ in before] == ["r-0001"]
+            assert before[0][1] == "HTTP 400: bad"
 
     def test_known_ids(self, tmp_path):
         with UploadQueue(tmp_path / "q") as q:
