@@ -82,8 +82,7 @@ class DnnModel(FamilyModel):
                 raise DataError(f"layer {l} weight shape does not chain {self.widths}")
             if len(b) != self.widths[l + 1]:
                 raise DataError(f"layer {l} bias length does not chain {self.widths}")
-            flat = [x for row in w for x in row] + list(b)
-            if not all(math.isfinite(x) for x in flat):
+            if not np.isfinite(np.append(np.asarray(w, dtype=float), b)).all():
                 raise DataError(f"layer {l} has non-finite parameters")
 
     def theta(self) -> np.ndarray:

@@ -42,13 +42,19 @@ def feature_matrix(X: np.ndarray) -> np.ndarray:
     """Row-wise monomials of an (n, 3) array -> (n, 19) design block."""
     X = np.asarray(X, dtype=float)
     x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
-    cols = [
-        x1 * x1 * x1, x2 * x2 * x2, x3 * x3 * x3,
-        x1 * x1 * x2, x1 * x1 * x3, x1 * x2 * x2, x1 * x3 * x3,
-        x2 * x2 * x3, x2 * x3 * x3,
-        x1 * x1, x2 * x2, x3 * x3,
-        x1 * x2 * x3,
-        x1 * x2, x1 * x3, x2 * x3,
+    # x1 * x1 * x2 evaluates as (x1 * x1) * x2, so building each cubic from a
+    # shared product keeps every column bit-identical to the written-out monomial
+    x11, x22, x33 = x1 * x1, x2 * x2, x3 * x3
+    x12, x13, x23 = x1 * x2, x1 * x3, x2 * x3
+    cols = (
+        x11 * x1, x22 * x2, x33 * x3,
+        x11 * x2, x11 * x3, x12 * x2, x13 * x3, x22 * x3, x23 * x3,
+        x11, x22, x33,
+        x12 * x3,
+        x12, x13, x23,
         x1, x2, x3,
-    ]
-    return np.stack(cols, axis=1)
+    )
+    out = np.empty((X.shape[0], N_FEATURES))
+    for k, col in enumerate(cols):
+        out[:, k] = col
+    return out

@@ -8,10 +8,11 @@ tests run instantly and deterministically.
 
 from __future__ import annotations
 
+import http.client
 import json
+import re
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,28 +56,47 @@ class _Transient(Exception):
     """Retryable upload failure (5xx, connection trouble, timeout)."""
 
 
-def _post_record(endpoint: str, record: ReadingRecord, timeout: float) -> str:
-    body = json.dumps(record.to_wire()).encode("utf-8")
-    req = urllib.request.Request(
-        endpoint.rstrip("/") + "/v1/readings",
-        data=body,
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
+def _connection(endpoint: str, timeout: float) -> tuple[http.client.HTTPConnection, str]:
+    """One keep-alive connection to the endpoint and the readings path on it.
+
+    Checking the URL here, once, makes a malformed one a DataError before any
+    attempt. A path prefix is kept: http://h:p/ingest posts to
+    /ingest/v1/readings.
+    """
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            payload = json.loads(resp.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        detail = ""
-        try:
-            detail = exc.read().decode("utf-8", "replace")[:200]
-        except OSError:
-            pass
-        if 400 <= exc.code < 500:
-            raise NetworkError(f"HTTP {exc.code}: {detail or exc.reason}") from None
-        raise _Transient(f"HTTP {exc.code}: {detail or exc.reason}") from None
-    except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
+        parts = urllib.parse.urlsplit(endpoint)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError("need an http:// or https:// URL with a host")
+        cls = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        conn = cls(parts.hostname, parts.port, timeout=timeout)  # .port raises on a bad port
+        path = parts.path.rstrip("/") + "/v1/readings"
+        if not re.fullmatch(r"[!-~]+", path):  # http.client sends the request line as ASCII
+            raise ValueError("path must be printable ASCII without spaces")
+    except (ValueError, http.client.InvalidURL) as exc:
+        raise DataError(f"endpoint {endpoint!r}: {exc}") from None
+    return conn, path
+
+
+def _post_record(conn: http.client.HTTPConnection, path: str, record: ReadingRecord) -> str:
+    body = json.dumps(record.to_wire()).encode("utf-8")
+    try:
+        conn.request("POST", path, body, {"Content-Type": "application/json"})
+        with conn.getresponse() as resp:
+            status, reason, reply = resp.status, resp.reason, resp.read()
+    except (http.client.HTTPException, OSError) as exc:
+        # a failed exchange leaves the connection unusable; close it so the
+        # next request opens a fresh one
+        conn.close()
         raise _Transient(str(exc)) from None
+    if not 200 <= status < 300:
+        detail = reply.decode("utf-8", "replace")[:200]
+        if 400 <= status < 500:
+            raise NetworkError(f"HTTP {status}: {detail or reason}")
+        raise _Transient(f"HTTP {status}: {detail or reason}")
+    try:
+        payload = json.loads(reply.decode("utf-8"))
+    except ValueError:
+        raise _Transient("endpoint reply is not JSON") from None
     ack = payload.get("ack") if isinstance(payload, dict) else None
     if ack != record.reading_id:
         raise _Transient(f"endpoint acked {ack!r}, expected {record.reading_id!r}")
@@ -89,37 +109,44 @@ def sync(queue: UploadQueue, endpoint: str, retry: RetryPolicy | None = None, *,
     """Upload every pending record in order; partial progress is durable.
 
     Stops early when one record exhausts its attempts (the endpoint is
-    presumed down); whatever was acknowledged stays acknowledged.
+    presumed down); whatever was acknowledged stays acknowledged. Every
+    attempt goes over one HTTP/1.1 keep-alive connection, reopened on the
+    next attempt after a failure or a server-side close; `timeout` applies
+    to each socket operation.
     """
     retry = retry or RetryPolicy()
     rng = rng or np.random.default_rng()
+    conn, path = _connection(endpoint, timeout)
     uploaded = dead = attempts_total = 0
     records = queue.pending()
-    for idx, record in enumerate(records):
-        done = False
-        for attempt in range(retry.max_attempts):
-            attempts_total += 1
-            try:
-                _post_record(endpoint, record, timeout)
-            except NetworkError as exc:
-                queue.mark_dead(record, str(exc))
-                dead += 1
+    try:
+        for idx, record in enumerate(records):
+            done = False
+            for attempt in range(retry.max_attempts):
+                attempts_total += 1
+                try:
+                    _post_record(conn, path, record)
+                except NetworkError as exc:
+                    queue.mark_dead(record, str(exc))
+                    dead += 1
+                    done = True
+                    break
+                except _Transient:
+                    if attempt + 1 < retry.max_attempts:
+                        sleep_fn(retry.delay(attempt, rng))
+                    continue
+                queue.mark_acked(record.reading_id)
+                uploaded += 1
                 done = True
                 break
-            except _Transient:
-                if attempt + 1 < retry.max_attempts:
-                    sleep_fn(retry.delay(attempt, rng))
-                continue
-            queue.mark_acked(record.reading_id)
-            uploaded += 1
-            done = True
-            break
-        if not done:
-            return SyncStats(
-                uploaded=uploaded,
-                dead_lettered=dead,
-                remaining=len(records) - idx,
-                attempts=attempts_total,
-            )
+            if not done:
+                return SyncStats(
+                    uploaded=uploaded,
+                    dead_lettered=dead,
+                    remaining=len(records) - idx,
+                    attempts=attempts_total,
+                )
+    finally:
+        conn.close()
     return SyncStats(uploaded=uploaded, dead_lettered=dead, remaining=0,
                      attempts=attempts_total)

@@ -107,6 +107,9 @@ def mock_endpoint(port: int = 0) -> MockEndpoint:
 def _make_handler(owner: MockEndpoint):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # a reply is two writes (headers, body); with Nagle on, the body of a
+        # kept-alive reply waits for the client's delayed ACK, about 40 ms
+        disable_nagle_algorithm = True
 
         def log_message(self, *args):  # keep test output quiet
             pass
@@ -120,10 +123,19 @@ def _make_handler(owner: MockEndpoint):
             self.wfile.write(body)
 
         def _read_body(self) -> dict | None:
+            """Consume the request body; None when it is not JSON. On a
+            kept-alive connection an unread body would be parsed as the next
+            request line, so every POST reads it before any reply."""
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+            except ValueError:
+                length = -1
+            if length < 0:  # the body cannot be framed, so neither can the next request
+                self.close_connection = True
+                return None
+            try:
                 return json.loads(self.rfile.read(length).decode("utf-8"))
-            except (ValueError, json.JSONDecodeError):
+            except ValueError:
                 return None
 
         def _drop(self) -> None:
@@ -134,10 +146,11 @@ def _make_handler(owner: MockEndpoint):
             self.close_connection = True
 
         def do_POST(self):
+            body = self._read_body()
             if self.path == "/v1/readings":
-                return self._post_reading()
+                return self._post_reading(body)
             if self.path.startswith("/control/"):
-                return self._control()
+                return self._control(body or {})
             self._reply(404, {"error": f"no such path {self.path}"})
 
         def do_GET(self):
@@ -145,7 +158,7 @@ def _make_handler(owner: MockEndpoint):
                 return self._reply(200, owner.snapshot())
             self._reply(404, {"error": f"no such path {self.path}"})
 
-        def _post_reading(self):
+        def _post_reading(self, body: dict | None):
             latency = owner.faults["latency"]
             if latency > 0:
                 time.sleep(latency)
@@ -161,7 +174,6 @@ def _make_handler(owner: MockEndpoint):
                 return self._reply(400, {"error": "injected permanent rejection"})
             if fault == "drop_next":
                 return self._drop()
-            body = self._read_body()
             if body is None:
                 return self._reply(400, {"error": "body is not valid JSON"})
             extra = set(body) - set(WIRE_FIELDS)
@@ -175,8 +187,7 @@ def _make_handler(owner: MockEndpoint):
             _, rid = owner.accept(body)
             self._reply(200, {"ack": rid})
 
-        def _control(self):
-            body = self._read_body() or {}
+        def _control(self, body: dict):
             name = self.path[len("/control/"):]
             if name == "reset":
                 owner.reset()

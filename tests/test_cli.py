@@ -287,6 +287,20 @@ class TestSync:
         assert "dead-lettered 1" in out
         assert "dead letter" in err and "HTTP 400" in err
 
+    @pytest.mark.parametrize("url", [
+        "notaurl", "http://127.0.0.1:notaport", "ftp://x/",
+        "http:///v1", "http://127.0.0.1:99999", "http://exa mple.com",
+        "http://127.0.0.1/in gest", "http://127.0.0.1/ingést",
+    ])
+    def test_malformed_endpoint_exits_2_before_any_attempt(self, workspace, tmp_path, url):
+        qdir = tmp_path / "q"
+        self.enqueue_one(workspace, qdir)
+        rc, out, err = run(["sync", "--queue", str(qdir), "--endpoint", url])
+        assert rc == 2 and out == ""
+        assert err.startswith("glucokit: data error: endpoint") and err.count("\n") == 1
+        with UploadQueue(qdir) as q:
+            assert q.pending_count() == 1
+
     def test_missing_endpoint_is_usage_error(self, tmp_path):
         rc, _, err = run(["sync", "--queue", str(tmp_path / "q")])
         assert rc == 1 and "endpoint" in err.lower()

@@ -56,6 +56,21 @@ class TestFeatureMap:
         for i in range(40):
             assert np.array_equal(M[i], monomials(X[i]))
 
+    def test_matrix_is_bitwise_equal_to_written_out_monomials(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(scale=3.0, size=(200, 3))
+        x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
+        want = np.stack([
+            x1 * x1 * x1, x2 * x2 * x2, x3 * x3 * x3,
+            x1 * x1 * x2, x1 * x1 * x3, x1 * x2 * x2, x1 * x3 * x3,
+            x2 * x2 * x3, x2 * x3 * x3,
+            x1 * x1, x2 * x2, x3 * x3,
+            x1 * x2 * x3,
+            x1 * x2, x1 * x3, x2 * x3,
+            x1, x2, x3,
+        ], axis=1)
+        assert np.array_equal(feature_matrix(X), want)
+
     def test_build_features_uses_channel_order(self):
         v = ChannelVoltages(2.0, 3.0, 5.0)
         f = build_features(v)

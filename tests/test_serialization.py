@@ -114,6 +114,20 @@ class TestMalformedDocuments:
         with pytest.raises(DataError, match="format marker"):
             model_from_dict(["not", "a", "model"])
 
+    @pytest.mark.parametrize("where", ["weights", "biases"])
+    def test_non_finite_dnn_parameter_rejected(self, where, dataset_factory, tmp_path):
+        path = tmp_path / "dnn.json"
+        save_model(fit_any("dnn", dataset_factory(n=22, seed=2)), path)
+        doc = json.loads(path.read_text())
+        layer = doc["params"][where][1]
+        if where == "weights":
+            layer[0][2] = math.nan
+        else:
+            layer[0] = math.inf
+        path.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
+        with pytest.raises(DataError, match="layer 1 has non-finite parameters"):
+            load_model(path)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")

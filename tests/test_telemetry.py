@@ -1,5 +1,6 @@
 """Durable queue semantics, retry policy, and sync against the mock endpoint."""
 
+import http.client
 import json
 import os
 import stat
@@ -260,6 +261,20 @@ def queue(tmp_path):
         yield q
 
 
+@pytest.fixture()
+def connects(monkeypatch):
+    """Counts TCP connections the sync client opens."""
+    calls = []
+    original = http.client.HTTPConnection.connect
+
+    def counting(self):
+        calls.append(self.port)
+        return original(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return calls
+
+
 class TestSync:
     def fill(self, q, n):
         for i in range(n):
@@ -366,3 +381,77 @@ class TestSync:
         with urllib.request.urlopen(endpoint.url + "/control/store") as resp:
             body = json.loads(resp.read())
         assert body["count"] == 1 and body["ids"] == ["r-0000"]
+
+    def test_non_json_reply_is_transient(self, queue, endpoint, monkeypatch):
+        self.fill(queue, 1)
+
+        def plain_text_reply(handler, code, payload):
+            handler.send_response(code)
+            handler.send_header("Content-Length", "3")
+            handler.end_headers()
+            handler.wfile.write(b"ok!")
+
+        monkeypatch.setattr(endpoint._server.RequestHandlerClass, "_reply", plain_text_reply)
+        stats = sync(queue, endpoint.url, RetryPolicy(max_attempts=2), sleep_fn=no_sleep)
+        assert stats == SyncStats(uploaded=0, dead_lettered=0, remaining=1, attempts=2)
+
+    def test_path_prefix_is_kept(self, queue, endpoint):
+        self.fill(queue, 1)
+        # the mock serves /v1/readings only, so a prefixed path draws a 404
+        stats = sync(queue, endpoint.url + "/ingest/", sleep_fn=no_sleep)
+        assert stats.dead_lettered == 1
+        [(_, reason)] = queue.dead_letters()
+        assert reason.startswith("HTTP 404") and "/ingest/v1/readings" in reason
+
+    def test_one_connection_per_sync(self, queue, endpoint, connects):
+        self.fill(queue, 20)
+        endpoint.faults["every_other"] = True
+        stats = sync(queue, endpoint.url, sleep_fn=no_sleep)
+        assert stats == SyncStats(uploaded=20, dead_lettered=0, remaining=0, attempts=40)
+        assert len(connects) == 1
+        assert endpoint.request_count == 40
+        assert endpoint.snapshot()["ids"] == [f"r-{i:04d}" for i in range(20)]
+
+    def test_dropped_connection_reconnects_once(self, queue, endpoint, connects):
+        self.fill(queue, 20)
+        endpoint.faults["every_other"] = True
+        backoffs = []
+
+        def arm_drop_on_fifth_backoff(seconds):
+            backoffs.append(seconds)
+            if len(backoffs) == 5:
+                endpoint.faults["drop_next"] = 1
+
+        stats = sync(queue, endpoint.url, sleep_fn=arm_drop_on_fifth_backoff)
+        # record 4: 503, then the drop, then 503 again, then the ack
+        assert stats == SyncStats(uploaded=20, dead_lettered=0, remaining=0, attempts=42)
+        assert len(connects) == 2
+        assert endpoint.snapshot()["ids"] == [f"r-{i:04d}" for i in range(20)]
+
+    def test_connection_close_reply_reconnects(self, queue, endpoint, connects, monkeypatch):
+        self.fill(queue, 3)
+        # an HTTP/1.0 server closes the connection after every reply
+        monkeypatch.setattr(endpoint._server.RequestHandlerClass, "protocol_version", "HTTP/1.0")
+        stats = sync(queue, endpoint.url, sleep_fn=no_sleep)
+        assert stats.uploaded == 3 and stats.attempts == 3
+        assert len(connects) == 3
+
+
+class TestMockEndpointFraming:
+    @pytest.mark.parametrize("fault, status", [("fail_next", 503), ("reject_next", 400)])
+    def test_fault_reply_leaves_connection_usable(self, endpoint, fault, status):
+        endpoint.faults[fault] = 1
+        host, port = endpoint.url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            replies = []
+            for i in range(2):
+                conn.request("POST", "/v1/readings", json.dumps(record(i).to_wire()),
+                             {"Content-Type": "application/json"})
+                with conn.getresponse() as resp:
+                    replies.append((resp.status, json.loads(resp.read())))
+        finally:
+            conn.close()
+        assert replies[0][0] == status
+        assert replies[1] == (200, {"ack": "r-0001"})
+        assert endpoint.snapshot()["ids"] == ["r-0001"]
