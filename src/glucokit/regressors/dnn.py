@@ -77,20 +77,24 @@ class DnnModel(FamilyModel):
             raise DataError("network needs >= 1 hidden layer and a single output")
         if len(self.weights) != len(self.widths) - 1 or len(self.biases) != len(self.widths) - 1:
             raise DataError("one weight matrix and bias vector per layer required")
+        parts = []
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if len(w) != self.widths[l + 1] or any(len(row) != self.widths[l] for row in w):
                 raise DataError(f"layer {l} weight shape does not chain {self.widths}")
             if len(b) != self.widths[l + 1]:
                 raise DataError(f"layer {l} bias length does not chain {self.widths}")
-            if not np.isfinite(np.append(np.asarray(w, dtype=float), b)).all():
+            layer = np.append(np.asarray(w, dtype=float), b)  # row-major w, then b
+            if not np.isfinite(layer).all():
                 raise DataError(f"layer {l} has non-finite parameters")
+            parts.append(layer)
+        # derived once, outside the fields, as in SvrModel
+        theta = np.concatenate(parts)
+        theta.flags.writeable = False
+        object.__setattr__(self, "_theta", theta)
 
     def theta(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(np.asarray(w, dtype=float).ravel())
-            parts.append(np.asarray(b, dtype=float))
-        return np.concatenate(parts)
+        """All parameters as one flat, read-only vector, layer by layer."""
+        return self._theta
 
     @classmethod
     def fit(cls, Xs: np.ndarray, ys: np.ndarray, seed: int = 0, **options) -> tuple[dict, dict]:
@@ -118,7 +122,7 @@ class DnnModel(FamilyModel):
         return fitted, hyperparameters
 
     def decision(self, Z: np.ndarray) -> np.ndarray:
-        return forward_batch(self.widths, self.theta(), Z)
+        return forward_batch(self.widths, self._theta, Z)
 
 
 def n_params(widths: tuple[int, ...]) -> int:

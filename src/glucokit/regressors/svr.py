@@ -107,11 +107,16 @@ class SvrModel(FamilyModel):
     def __post_init__(self):
         if len(self.beta) != len(self.train_inputs):
             raise DataError("beta and retained inputs must have equal length")
-        if any(abs(b) > self.c * (1 + 1e-9) for b in self.beta):
+        # array copies of the tuple fields, derived once; not fields, so they
+        # stay out of ==, repr and the model document
+        beta = np.asarray(self.beta, dtype=float)
+        if (np.abs(beta) > self.c * (1 + 1e-9)).any():
             raise DataError("dual coefficient exceeds box constraint C")
+        object.__setattr__(self, "_beta", beta)
+        object.__setattr__(self, "_inputs", np.asarray(self.train_inputs, dtype=float))
 
     def support_count(self, tol: float = 1e-9) -> int:
-        return sum(1 for b in self.beta if abs(b) > tol)
+        return int((np.abs(self._beta) > tol).sum())
 
     @classmethod
     def fit(cls, Xs: np.ndarray, ys: np.ndarray, seed: int = 0, *, kernel: KernelSpec,
@@ -145,8 +150,7 @@ class SvrModel(FamilyModel):
 
     def decision(self, Z: np.ndarray) -> np.ndarray:
         """Standardized-space f(z) = sum b_i k(x_i, z) + bias, one per row of Z."""
-        K = kernel_matrix(self.kernel, Z, np.asarray(self.train_inputs))
-        return K @ np.asarray(self.beta) + self.bias
+        return kernel_matrix(self.kernel, Z, self._inputs) @ self._beta + self.bias
 
 
 def default_hyperparams(y_std: np.ndarray) -> tuple[float, float]:

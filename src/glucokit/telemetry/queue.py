@@ -11,11 +11,18 @@ acked.log nor deadletter.log. Every append is flushed and fsynced before the
 call returns, so an enqueue or ack that returned survives a crash. A torn
 final line (no trailing newline) is ignored on open; a malformed line that
 is not the final one means real corruption and is an error.
+
+An open decodes and validates every complete line of all three logs, but
+builds a ReadingRecord only for the pending records of queue.log (plus one
+per dead letter); acked and dead-lettered queue.log lines are checked against
+the same field rules and then dropped. The open therefore still reads the
+whole history: compact() is what bounds it. pending_count() is O(1).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 import threading
@@ -33,7 +40,59 @@ WIRE_FIELDS = (
     "glucose_kind", "model_tag", "device_id",
 )
 
-_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
+_WIRE_KEYS = frozenset(WIRE_FIELDS)
+_ID_FIELDS = ("reading_id", "patient_id", "model_tag", "device_id")
+
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
+
+# the C scanner behind json.loads, without its whitespace stripping: each log
+# line is exactly one JSON value
+_scan = json.JSONDecoder().scan_once
+
+
+def _check_text_fields(get, source) -> None:
+    """The rules on a record's string fields, shared by the constructor
+    (getattr on the record) and the check of settled queue.log lines
+    (operator.getitem on the wire dict); get(source, name) reads a field."""
+    for name in _ID_FIELDS:
+        v = get(source, name)
+        if not isinstance(v, str) or not v:
+            raise DataError(f"{name} must be a non-empty string, got {v!r}")
+    ts = get(source, "timestamp_utc")
+    if not isinstance(ts, str) or not _TIMESTAMP_RE.fullmatch(ts):
+        raise DataError(f"timestamp_utc must look like 2026-01-31T08:15:00Z, got {ts!r}")
+
+
+def _wire_glucose(d) -> GlucoseValue:
+    """Check a decoded wire entry's field set and glucose; returns the glucose."""
+    if not isinstance(d, dict):
+        raise DataError(f"entry must be a JSON object, got {d!r}")
+    if d.keys() != _WIRE_KEYS:
+        extra = set(d) - _WIRE_KEYS
+        missing = _WIRE_KEYS - set(d)
+        raise DataError(f"bad record fields: extra {sorted(extra)}, missing {sorted(missing)}")
+    kind = d["glucose_kind"]
+    if kind not in GLUCOSE_KINDS:
+        raise DataError(f"bad glucose_kind {kind!r}")
+    v = d["glucose_mgdl"]
+    # bool is an int subclass, but a JSON true is not a glucose value
+    if type(v) is not float and type(v) is not int:
+        raise DataError(f"glucose_mgdl must be a number, got {v!r}")
+    try:
+        return GlucoseValue(float(v), kind)
+    except OverflowError:
+        raise DataError(f"glucose_mgdl out of range, got {v!r}") from None
+
+
+def _decode_line(line: str):
+    """The JSON value that spans the whole line."""
+    try:
+        value, end = _scan(line, 0)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", line, exc.value) from None
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return value
 
 
 @dataclass(frozen=True)
@@ -49,14 +108,7 @@ class ReadingRecord:
     device_id: str
 
     def __post_init__(self):
-        for name in ("reading_id", "patient_id", "model_tag", "device_id"):
-            v = getattr(self, name)
-            if not isinstance(v, str) or not v:
-                raise DataError(f"{name} must be a non-empty string, got {v!r}")
-        if not _TIMESTAMP_RE.match(self.timestamp_utc):
-            raise DataError(
-                f"timestamp_utc must look like 2026-01-31T08:15:00Z, got {self.timestamp_utc!r}"
-            )
+        _check_text_fields(getattr, self)
 
     def to_wire(self) -> dict:
         """The exact JSON body the endpoint expects (field set is fixed)."""
@@ -72,17 +124,12 @@ class ReadingRecord:
 
     @classmethod
     def from_wire(cls, d: dict) -> "ReadingRecord":
-        extra = set(d) - set(WIRE_FIELDS)
-        missing = set(WIRE_FIELDS) - set(d)
-        if extra or missing:
-            raise DataError(f"bad record fields: extra {sorted(extra)}, missing {sorted(missing)}")
-        if d["glucose_kind"] not in GLUCOSE_KINDS:
-            raise DataError(f"bad glucose_kind {d['glucose_kind']!r}")
+        glucose = _wire_glucose(d)
         return cls(
             reading_id=d["reading_id"],
             patient_id=d["patient_id"],
             timestamp_utc=d["timestamp_utc"],
-            glucose=GlucoseValue(float(d["glucose_mgdl"]), d["glucose_kind"]),
+            glucose=glucose,
             model_tag=d["model_tag"],
             device_id=d["device_id"],
         )
@@ -94,15 +141,15 @@ def _read_lines(path) -> list[str]:
         return []
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data:
-        return []
-    torn = not data.endswith(b"\n")
-    lines = data.decode("utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if torn and lines:
-        lines.pop()
-    return lines
+    # cut the torn tail as bytes: acked.log holds raw ids, so a crash can
+    # split a multi-byte character
+    data = data[:data.rfind(b"\n") + 1]
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{os.path.basename(path)} line {lineno}: corrupt entry: {exc}") from None
+    return text.split("\n")[:-1]
 
 
 class UploadQueue:
@@ -113,7 +160,7 @@ class UploadQueue:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.Lock()
-        self._records: list[ReadingRecord] = []
+        self._pending: dict[str, ReadingRecord] = {}  # enqueue order
         self._ids: set[str] = set()
         self._acked: set[str] = set()
         self._dead: dict[str, tuple[ReadingRecord, str]] = {}
@@ -127,26 +174,37 @@ class UploadQueue:
         return os.path.join(self.directory, name)
 
     def _load(self) -> None:
-        for lineno, line in enumerate(_read_lines(self._path(QUEUE_LOG)), start=1):
-            try:
-                rec = ReadingRecord.from_wire(json.loads(line))
-            except (json.JSONDecodeError, DataError) as exc:
-                raise DataError(f"{QUEUE_LOG} line {lineno}: corrupt entry: {exc}") from None
-            self._records.append(rec)
-            self._ids.add(rec.reading_id)
-            prev = self._last_ts.get(rec.device_id)
-            if prev is None or rec.timestamp_utc >= prev:
-                self._last_ts[rec.device_id] = rec.timestamp_utc
         self._acked = set(_read_lines(self._path(ACKED_LOG)))
-        for lineno, line in enumerate(_read_lines(self._path(DEADLETTER_LOG)), start=1):
-            # each line holds the full wire record, so a dead letter outlives
-            # the compaction that drops it from queue.log
+        self._read_log(DEADLETTER_LOG, self._load_dead_letter)
+        self._read_log(QUEUE_LOG, self._load_queued)
+
+    def _read_log(self, name: str, load_entry) -> None:
+        for lineno, line in enumerate(_read_lines(self._path(name)), start=1):
             try:
-                entry = json.loads(line)
-                rec = ReadingRecord.from_wire({k: v for k, v in entry.items() if k != "reason"})
-                self._dead[rec.reading_id] = (rec, entry.get("reason", ""))
-            except (AttributeError, ValueError, DataError) as exc:
-                raise DataError(f"{DEADLETTER_LOG} line {lineno}: corrupt entry: {exc!r}") from None
+                load_entry(_decode_line(line))
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{name} line {lineno}: corrupt entry: {exc}") from None
+
+    def _load_dead_letter(self, entry) -> None:
+        # each line holds the full wire record, so a dead letter outlives
+        # the compaction that drops it from queue.log
+        reason = entry.pop("reason", "") if isinstance(entry, dict) else ""
+        rec = ReadingRecord.from_wire(entry)
+        self._dead[rec.reading_id] = (rec, reason)
+
+    def _load_queued(self, d) -> None:
+        rid = d.get("reading_id") if isinstance(d, dict) else None
+        if isinstance(rid, str) and (rid in self._acked or rid in self._dead):
+            # settled: held to the record's rules, but no record is built
+            _wire_glucose(d)
+            _check_text_fields(operator.getitem, d)
+        else:
+            self._pending[rid] = ReadingRecord.from_wire(d)
+        self._ids.add(rid)
+        device, ts = d["device_id"], d["timestamp_utc"]
+        prev = self._last_ts.get(device)
+        if prev is None or ts >= prev:
+            self._last_ts[device] = ts
 
     @staticmethod
     def _append(fh, text: str) -> None:
@@ -170,20 +228,19 @@ class UploadQueue:
                     f"timestamp {prev} for device {record.device_id!r}"
                 )
             self._append(self._queue_fh, json.dumps(record.to_wire(), sort_keys=True))
-            self._records.append(record)
             self._ids.add(record.reading_id)
+            if record.reading_id not in self._acked and record.reading_id not in self._dead:
+                self._pending[record.reading_id] = record
             self._last_ts[record.device_id] = record.timestamp_utc
 
     def pending(self) -> list[ReadingRecord]:
         """Unacknowledged, non-dead records in enqueue order."""
         with self._lock:
-            return [
-                r for r in self._records
-                if r.reading_id not in self._acked and r.reading_id not in self._dead
-            ]
+            return list(self._pending.values())
 
     def pending_count(self) -> int:
-        return len(self.pending())
+        with self._lock:
+            return len(self._pending)
 
     def mark_acked(self, reading_id: str) -> None:
         with self._lock:
@@ -191,6 +248,7 @@ class UploadQueue:
                 return
             self._append(self._acked_fh, reading_id)
             self._acked.add(reading_id)
+            self._pending.pop(reading_id, None)
 
     def mark_dead(self, record: ReadingRecord, reason: str) -> None:
         with self._lock:
@@ -200,6 +258,7 @@ class UploadQueue:
             entry["reason"] = reason
             self._append(self._dead_fh, json.dumps(entry, sort_keys=True))
             self._dead[record.reading_id] = (record, reason)
+            self._pending.pop(record.reading_id, None)
 
     def dead_letters(self) -> list[tuple[ReadingRecord, str]]:
         with self._lock:
@@ -215,13 +274,9 @@ class UploadQueue:
         Never called by sync, so a sync run leaves queue.log byte-identical.
         """
         with self._lock:
-            keep = [
-                r for r in self._records
-                if r.reading_id not in self._acked and r.reading_id not in self._dead
-            ]
             tmp = self._path(QUEUE_LOG + ".tmp")
             with open(tmp, "wb") as fh:
-                for r in keep:
+                for r in self._pending.values():
                     fh.write(json.dumps(r.to_wire(), sort_keys=True).encode("utf-8") + b"\n")
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -235,8 +290,7 @@ class UploadQueue:
             finally:
                 os.close(dir_fd)
             self._queue_fh = open(self._path(QUEUE_LOG), "ab")
-            self._records = keep
-            self._ids = {r.reading_id for r in keep}
+            self._ids = set(self._pending)
             with open(self._path(ACKED_LOG), "wb") as fh:
                 fh.flush()
                 os.fsync(fh.fileno())

@@ -267,6 +267,18 @@ class TestSync:
                               "--endpoint", ep.url])
         assert rc == 0 and "uploaded 0" in out
 
+    def test_corrupt_queue_exits_2(self, workspace, tmp_path):
+        qdir = tmp_path / "q"
+        self.enqueue_one(workspace, qdir)
+        entry = json.loads((qdir / "queue.log").read_text())
+        entry["glucose_mgdl"] = "abc"
+        (qdir / "queue.log").write_text(json.dumps(entry) + "\n")
+        with MockEndpoint() as ep:
+            rc, _, err = run(["sync", "--queue", str(qdir), "--endpoint", ep.url])
+            assert ep.snapshot()["count"] == 0
+        assert rc == 2
+        assert err.count("\n") == 1 and "queue.log line 1: corrupt entry" in err
+
     def test_unreachable_endpoint_exits_4_and_keeps_queue(self, workspace, tmp_path):
         qdir = tmp_path / "q"
         self.enqueue_one(workspace, qdir)

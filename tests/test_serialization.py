@@ -128,6 +128,12 @@ class TestMalformedDocuments:
         with pytest.raises(DataError, match="layer 1 has non-finite parameters"):
             load_model(path)
 
+    def test_svr_beta_outside_box_rejected(self, dataset_factory):
+        doc = model_to_dict(fit_any("svr:linear", dataset_factory(n=22, seed=2)))
+        doc["params"]["beta"][3] = -2.0 * doc["params"]["c"]
+        with pytest.raises(DataError, match="dual coefficient exceeds box constraint C"):
+            model_from_dict(doc)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")

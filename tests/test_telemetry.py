@@ -4,10 +4,12 @@ import http.client
 import json
 import os
 import stat
+import tempfile
 import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glucokit.data import GlucoseValue
 from glucokit.errors import DataError
@@ -20,7 +22,7 @@ from glucokit.telemetry import (
     sync,
 )
 from glucokit.telemetry import queue as queue_module
-from glucokit.telemetry.queue import QUEUE_LOG, WIRE_FIELDS
+from glucokit.telemetry.queue import ACKED_LOG, DEADLETTER_LOG, QUEUE_LOG, WIRE_FIELDS
 
 
 def record(i, device="dev-1", patient="p-1", minute=None):
@@ -36,6 +38,30 @@ def record(i, device="dev-1", patient="p-1", minute=None):
 
 def no_sleep(_):
     pass
+
+
+def wire_line(i, **changes) -> str:
+    """record(i) as its queue.log line, with some wire fields replaced."""
+    d = record(i).to_wire()
+    d.update(changes)
+    return json.dumps(d, sort_keys=True)
+
+
+# complete log lines that are not a valid record; each must be a corrupt entry
+CORRUPT_ENTRIES = {
+    "int": "5",
+    "null": "null",
+    "array": "[]",
+    "glucose-text": wire_line(1, glucose_mgdl="abc"),
+    "glucose-numeric-text": wire_line(1, glucose_mgdl="120"),
+    "glucose-array": wire_line(1, glucose_mgdl=[1]),
+    "glucose-bool": wire_line(1, glucose_mgdl=True),
+    "glucose-huge-int": wire_line(1, glucose_mgdl=10 ** 400),
+    "timestamp-int": wire_line(1, timestamp_utc=5),
+    "timestamp-newline": wire_line(1, timestamp_utc="2026-02-01T08:01:00Z\n"),
+    "reading-id-array": wire_line(1, reading_id=[1]),
+    "trailing-data": wire_line(1) + " x",
+}
 
 
 class TestReadingRecord:
@@ -158,6 +184,54 @@ class TestUploadQueue:
         with pytest.raises(DataError, match="line 2"):
             UploadQueue(d)
 
+    @pytest.mark.parametrize("log", [QUEUE_LOG, DEADLETTER_LOG])
+    @pytest.mark.parametrize("entry", list(CORRUPT_ENTRIES.values()), ids=list(CORRUPT_ENTRIES))
+    def test_malformed_entry_is_a_corrupt_entry(self, tmp_path, log, entry):
+        d = tmp_path / "q"
+        d.mkdir()
+        (d / log).write_text(entry + "\n" + wire_line(2) + "\n")
+        with pytest.raises(DataError, match=f"^{log} line 1: corrupt entry: "):
+            UploadQueue(d)
+
+    @pytest.mark.parametrize("settle", ["acked", "dead"])
+    @pytest.mark.parametrize("bad", [
+        "garbage",
+        wire_line(1, timestamp_utc="2026-02-01 08:01:00"),
+        wire_line(1, glucose_mgdl=-1),
+    ], ids=["garbage", "bad-timestamp", "negative-glucose"])
+    def test_settled_lines_are_validated_at_open(self, tmp_path, settle, bad):
+        d = tmp_path / "q"
+        with UploadQueue(d) as q:
+            q.enqueue(record(1))
+            if settle == "acked":
+                q.mark_acked("r-0001")
+            else:
+                q.mark_dead(record(1), "HTTP 400: bad")
+            assert q.pending_count() == 0
+        (d / QUEUE_LOG).write_text(bad + "\n")
+        with pytest.raises(DataError, match="line 1"):
+            UploadQueue(d)
+
+    def test_torn_multibyte_character_is_dropped(self, tmp_path):
+        # acked.log holds raw ids, so a crash can cut one inside a character
+        d = tmp_path / "q"
+        with UploadQueue(d) as q:
+            q.enqueue(record(1))
+            q.mark_acked("r-0001")
+        with open(d / ACKED_LOG, "ab") as fh:
+            fh.write("r-\u00e9".encode("utf-8")[:-1])
+        with UploadQueue(d) as q:
+            assert q.acked_count() == 1 and q.pending() == []
+
+    def test_invalid_utf8_is_a_corrupt_entry(self, tmp_path):
+        d = tmp_path / "q"
+        with UploadQueue(d) as q:
+            q.enqueue(record(1))
+        with open(d / QUEUE_LOG, "ab") as fh:
+            fh.write(b"\xff\xfe\n" + wire_line(2).encode() + b"\n")
+        with pytest.raises(DataError, match=f"^{QUEUE_LOG} line 2: corrupt entry"):
+            UploadQueue(d)
+
     def test_compact_drops_settled_records(self, tmp_path):
         d = tmp_path / "q"
         with UploadQueue(d) as q:
@@ -220,6 +294,59 @@ class TestUploadQueue:
             q.enqueue(record(1))
             q.enqueue(record(2))
             assert q.known_ids() == {"r-0001", "r-0002"}
+
+
+QUEUE_STEPS = st.lists(
+    st.tuples(st.sampled_from(["enqueue", "ack", "dead", "compact", "reopen"]),
+              st.integers(0, 3)),
+    max_size=20,
+)
+
+
+class TestQueueStateProperty:
+    """Random scripts of queue operations against a reference computed from
+    the full history: queue.log ids in order, minus acked and dead ones."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(script=QUEUE_STEPS)
+    def test_pending_matches_history(self, script):
+        with tempfile.TemporaryDirectory() as d:
+            log, acked, dead = [], set(), {}
+            q = UploadQueue(d)
+            try:
+                for op, i in script:
+                    rec = record(i, minute=0)
+                    rid = rec.reading_id
+                    if op == "enqueue" and rid in log:
+                        with pytest.raises(DataError, match="already enqueued"):
+                            q.enqueue(rec)
+                    elif op == "enqueue":
+                        q.enqueue(rec)
+                        log.append(rid)
+                    elif op == "ack":
+                        q.mark_acked(rid)
+                        acked.add(rid)
+                    elif op == "dead":
+                        q.mark_dead(rec, f"HTTP 400: {i}")
+                        dead.setdefault(rid, (rec, f"HTTP 400: {i}"))
+                    elif op == "compact":
+                        q.compact()
+                        log = [r for r in log if r not in acked and r not in dead]
+                        acked = set()
+                    else:
+                        q.close()
+                        q = UploadQueue(d)
+                    want = [record(int(r[2:]), minute=0) for r in log
+                            if r not in acked and r not in dead]
+                    assert q.pending() == want
+                    assert q.pending_count() == len(q.pending())
+                    assert q.known_ids() == set(log)
+                    assert q.acked_count() == len(acked)
+                    assert q.dead_letters() == list(dead.values())
+                    with UploadQueue(d) as reopened:
+                        assert reopened.pending() == want
+            finally:
+                q.close()
 
 
 class TestRetryPolicy:
