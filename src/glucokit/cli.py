@@ -8,6 +8,8 @@ queue to an endpoint, and render model-comparison tables from report files.
 Option layering, highest priority first: explicit flag, environment variable
 (GLUCOKIT_ENDPOINT, GLUCOKIT_QUEUE_DIR), JSON config file given with
 --config (top-level keys are flag names with underscores), built-in default.
+A config or env value is parsed as its flag would be (type and choices; switches
+take JSON booleans); keys naming no flag of the command are ignored.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 solver/convergence error,
 4 network failure or dead-lettered records.
@@ -44,11 +46,11 @@ from .evaluation import (
     metrics_report,
     paired_readings,
 )
-from .regressors import MODEL_SPECS, fit_model, load_model, save_model
+from .regressors import FAMILIES, MODEL_SPECS, fit_model, load_model, save_model
 from .telemetry import ReadingRecord, RetryPolicy, UploadQueue, sync as run_sync
 
-ENV_ENDPOINT = "GLUCOKIT_ENDPOINT"
-ENV_QUEUE_DIR = "GLUCOKIT_QUEUE_DIR"
+# environment variable -> the flag it supplies, in each command that has the flag
+ENV_FLAGS = {"GLUCOKIT_QUEUE_DIR": "queue", "GLUCOKIT_ENDPOINT": "endpoint"}
 
 
 class UsageError(Exception):
@@ -66,63 +68,65 @@ def _load_flag_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # invalid JSON or invalid UTF-8
         raise DataError(f"config {path}: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
         raise DataError(f"config {path}: top level must be a JSON object")
     return doc
 
 
-def _resolve(args, name: str, config: dict, default, env_var: str | None = None,
-             cast=None):
-    """flag > env > config > default; None means the layer is silent."""
-    v = getattr(args, name, None)
-    if v is None and env_var is not None:
-        v = os.environ.get(env_var)
-    if v is None:
-        v = config.get(name)
-    if v is None:
-        v = default
-    if v is not None and cast is not None:
-        try:
-            v = cast(v)
-        except (TypeError, ValueError) as e:
-            raise UsageError(f"bad value for {name}: {v!r} ({e})") from e
-    return v
+def _layer_defaults(parser: argparse.ArgumentParser, *layers: dict) -> None:
+    """Make config and env values (later layers win) the defaults of parser's flags.
+
+    argparse applies neither type nor choices to a non-string default, so a
+    value is handed over as a string for the flag's own type to parse, and its
+    choices are checked here; a switch takes a JSON boolean instead.
+    """
+    flags = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+    for layer in layers:
+        for key, value in layer.items():
+            action = flags.get(key)
+            if action is None:
+                continue  # not a flag of this command, e.g. forward_model
+            if action.nargs == 0:
+                if not isinstance(value, bool):
+                    raise UsageError(f"config {key}: wants true or false, not {value!r}")
+                if value:
+                    action.default = action.const
+            elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise UsageError(f"config {key}: wants a string or number, not {value!r}")
+            elif action.choices is not None and str(value) not in action.choices:
+                raise UsageError(f"config {key}: {value!r} is not in {action.choices}")
+            else:
+                action.default = str(value)
 
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _parse_range(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"--range wants LO:HI, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as e:
-        raise UsageError(f"--range wants numbers, got {text!r}") from e
-
-
-def _parse_fractions(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"--split-fractions wants C,V,T, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError as e:
-        raise UsageError(f"--split-fractions wants numbers, got {text!r}") from e
+def _numbers(count: int, sep: str):
+    """A type= parser for `count` numbers joined by sep, e.g. 60:340."""
+    def parse(text: str) -> tuple[float, ...]:
+        parts = text.split(sep)
+        try:
+            if len(parts) == count:
+                return tuple(float(p) for p in parts)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"wants {count} numbers joined by {sep!r}, got {text!r}")
+    return parse
 
 
 def _parse_depths(text: str) -> list[int]:
     m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
     if not m:
-        raise UsageError(f"--hidden-layers wants N or A..B, got {text!r}")
+        raise argparse.ArgumentTypeError(f"wants N or A..B, got {text!r}")
     lo = int(m.group(1))
     hi = int(m.group(2)) if m.group(2) else lo
     if lo < 1 or hi < lo:
-        raise UsageError(f"--hidden-layers wants 1 <= A <= B, got {text!r}")
+        raise argparse.ArgumentTypeError(f"wants 1 <= A <= B, got {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -140,47 +144,48 @@ def _select_split(ds: Dataset, which: str, wanted: str) -> tuple[Dataset, str]:
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args, config: dict) -> int:
-    n = _resolve(args, "n", config, None, cast=int)
-    if n is None:
+    if args.n is None:
         raise UsageError("--n is required")
-    if n < 1:
-        raise UsageError(f"--n must be >= 1, got {n}")
-    out = _resolve(args, "out", config, None)
-    if out is None:
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.out is None:
         raise UsageError("--out is required")
-    seed = _resolve(args, "seed", config, None, cast=int)
-    lo, hi = _parse_range(_resolve(args, "range", config, "60:340", cast=str))
-    n_raw = _resolve(args, "n_raw", config, 1024, cast=int)
-    noise = _resolve(args, "noise_sd", config, None, cast=float)
-    serum_delta = _resolve(args, "serum_delta", config, 0.05, cast=float)
-    if _resolve(args, "no_serum", config, False, cast=bool):
-        serum_delta = None
-    fractions = _parse_fractions(
-        _resolve(args, "split_fractions", config, "0.6,0.4,0.0", cast=str))
+    lo, hi = args.range
+    serum_delta = None if args.no_serum else args.serum_delta
 
     fm = acquisition.ForwardModelConfig.from_dict(config.get("forward_model", {}))
     adc = acquisition.AdcConfig.from_dict(config.get("adc", {}))
-    if seed is not None:
-        fm = dataclasses.replace(fm, seed=seed)
-    if noise is not None:
-        fm = dataclasses.replace(fm, noise_sd_mv=noise)
+    if args.seed is not None:
+        fm = dataclasses.replace(fm, seed=args.seed)
+    if args.noise_sd is not None:
+        fm = dataclasses.replace(fm, noise_sd_mv=args.noise_sd)
 
     ds = acquisition.generate_dataset(
-        n, (lo, hi), fm, adc, n_raw=n_raw, serum_delta=serum_delta,
-        id_prefix=_resolve(args, "id_prefix", config, "sim", cast=str),
+        args.n, (lo, hi), fm, adc, n_raw=args.n_raw, serum_delta=serum_delta,
+        id_prefix=args.id_prefix,
     )
+    fractions = args.split_fractions
     if any(f > 0 for f in fractions[1:]) or fractions[0] < 1:
         ds = split_dataset(ds, seed=fm.seed, fractions=fractions)
     else:
         ds = ds.with_splits({s.id: "calibration" for s in ds.samples})
-    export_csv(ds, out)
-    print(f"wrote {n} samples to {out} "
+    export_csv(ds, args.out)
+    print(f"wrote {args.n} samples to {args.out} "
           f"(glucose {lo:g}-{hi:g} mg/dl, noise sd {fm.noise_sd_mv:g} mV, "
           f"seed {fm.seed})")
     return 0
 
 
 # --------------------------------------------------------------- calibrate
+
+# calibrate flag -> the fit_model option it sets; each family's `options`
+# allow-list says which family takes it
+_FAMILY_FLAGS = {
+    "no_intercept": "intercept", "svr_eps": "eps", "svr_c": "c",
+    "hidden_layers": "hidden_layers", "width": "width", "max_iters": "max_iters",
+    "sse_tol": "sse_tol", "lambda0": "lambda0",
+}
+
 
 def _fit_and_report(spec: str, train: Dataset, kind: str, seed: int,
                     created: str | None, options: dict):
@@ -190,58 +195,34 @@ def _fit_and_report(spec: str, train: Dataset, kind: str, seed: int,
 
 
 def cmd_calibrate(args, config: dict) -> int:
-    train_path = _resolve(args, "train", config, None)
-    if train_path is None:
+    if args.train is None:
         raise UsageError("--train is required")
-    spec = _resolve(args, "model", config, "mpr3", cast=str)
+    spec, kind, seed = args.model, args.kind, args.seed
     if spec not in MODEL_SPECS:
         raise UsageError(f"unknown model {spec!r}; choose from {', '.join(MODEL_SPECS)}")
-    kind = _resolve(args, "kind", config, "capillary", cast=str)
-    if kind not in GLUCOSE_KINDS:
-        raise UsageError(f"--kind must be one of {GLUCOSE_KINDS}, got {kind!r}")
-    seed = _resolve(args, "seed", config, 0, cast=int)
-    out = _resolve(args, "out", config, None)
-    created = _resolve(args, "timestamp", config, None)
-    which = _resolve(args, "split", config, "auto", cast=str)
 
-    ds = load_csv(train_path)
-    train, used = _select_split(ds, which, "calibration")
+    ds = load_csv(args.train)
+    train, used = _select_split(ds, args.split, "calibration")
 
+    family = FAMILIES[spec.partition(":")[0]]
     options: dict = {}
-    if _resolve(args, "no_intercept", config, False, cast=bool):
-        if spec != "mpr3":
-            raise UsageError("--no-intercept only applies to mpr3")
-        options["intercept"] = False
-    eps = _resolve(args, "svr_eps", config, None, cast=float)
-    c = _resolve(args, "svr_c", config, None, cast=float)
-    if (eps is not None or c is not None) and not spec.startswith("svr:"):
-        raise UsageError("--svr-eps/--svr-c only apply to svr models")
-    if eps is not None:
-        options["eps"] = eps
-    if c is not None:
-        options["c"] = c
+    for flag, option in _FAMILY_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if option not in family.options:
+            taker = next(f.family for f in FAMILIES.values() if option in f.options)
+            raise UsageError(f"--{flag.replace('_', '-')} only applies to {taker}")
+        options[option] = value
 
-    depths_text = _resolve(args, "hidden_layers", config, None, cast=str)
-    for name, key, cast in (("width", "width", int),
-                            ("max_iters", "max_iters", int),
-                            ("sse_tol", "sse_tol", float),
-                            ("lambda0", "lambda0", float)):
-        v = _resolve(args, name, config, None, cast=cast)
-        if v is not None:
-            if spec != "dnn":
-                raise UsageError(f"--{name.replace('_', '-')} only applies to dnn")
-            options[key] = v
-    if depths_text is not None and spec != "dnn":
-        raise UsageError("--hidden-layers only applies to dnn")
-
-    depths = _parse_depths(depths_text) if depths_text is not None else None
+    depths = options.pop("hidden_layers", None)
     if depths is not None and len(depths) > 1:
         print(f"hidden-layer sweep on {len(train)} samples ({used} split), "
               f"kind {kind}, seed {seed}")
         print(f"{'depth':>5}  {'train mARD %':>12}  {'train RMSE mg/dl':>16}")
         best = None
         for h in depths:
-            tm, rep = _fit_and_report(spec, train, kind, seed, created,
+            tm, rep = _fit_and_report(spec, train, kind, seed, args.timestamp,
                                       dict(options, hidden_layers=h))
             print(f"{h:>5}  {rep.mard_pct:>12.4f}  {rep.rmse_mgdl:>16.4f}")
             if best is None or rep.rmse_mgdl < best[1].rmse_mgdl:
@@ -252,14 +233,14 @@ def cmd_calibrate(args, config: dict) -> int:
     else:
         if depths is not None:
             options["hidden_layers"] = depths[0]
-        tm, rep = _fit_and_report(spec, train, kind, seed, created, options)
+        tm, rep = _fit_and_report(spec, train, kind, seed, args.timestamp, options)
 
     print(f"fit {tm.tag} on {rep.n} samples ({used} split): "
           f"mARD {rep.mard_pct:.4f} %  RMSE {rep.rmse_mgdl:.4f} mg/dl  "
           f"r {rep.r_pearson:.6f}")
-    if out is not None:
-        save_model(tm, out)
-        print(f"saved model to {out}")
+    if args.out is not None:
+        save_model(tm, args.out)
+        print(f"saved model to {args.out}")
     return 0
 
 
@@ -270,22 +251,14 @@ def _slug(value: str) -> str:
 
 
 def cmd_validate(args, config: dict) -> int:
-    model_path = _resolve(args, "model", config, None)
-    data_path = _resolve(args, "data", config, None)
-    out_dir = _resolve(args, "out_dir", config, None)
-    if model_path is None or data_path is None or out_dir is None:
+    if None in (args.model, args.data, args.out_dir):
         raise UsageError("--model, --data and --out-dir are required")
-    group_by = _resolve(args, "group_by", config, None)
-    if group_by is not None and group_by not in ("sex", "mode"):
-        raise UsageError(f"--group-by must be sex or mode, got {group_by!r}")
-    which = _resolve(args, "split", config, "auto", cast=str)
+    out_dir, group_by = args.out_dir, args.group_by
 
-    tm = load_model(model_path)
-    kind = _resolve(args, "kind", config, tm.glucose_kind, cast=str)
-    if kind not in GLUCOSE_KINDS:
-        raise UsageError(f"--kind must be one of {GLUCOSE_KINDS}, got {kind!r}")
-    ds = load_csv(data_path)
-    subset, used = _select_split(ds, which, "validation")
+    tm = load_model(args.model)
+    kind = args.kind or tm.glucose_kind
+    ds = load_csv(args.data)
+    subset, used = _select_split(ds, args.split, "validation")
 
     p = paired_readings(tm, subset, kind)
     rep = metrics_report(p)
@@ -295,7 +268,7 @@ def cmd_validate(args, config: dict) -> int:
     doc = {
         "model": {"spec": tm.spec, "glucose_kind": tm.glucose_kind,
                   "metadata": tm.metadata},
-        "data": {"path": os.path.basename(str(data_path)), "split": used, "n": len(p)},
+        "data": {"path": os.path.basename(args.data), "split": used, "n": len(p)},
         "kind": kind,
         "metrics": rep.to_dict(),
         "ceg": ceg.to_dict(),
@@ -343,33 +316,29 @@ def cmd_validate(args, config: dict) -> int:
 # ----------------------------------------------------------------- predict
 
 def cmd_predict(args, config: dict) -> int:
-    model_path = _resolve(args, "model", config, None)
-    if model_path is None:
+    if args.model is None:
         raise UsageError("--model is required")
-    v = tuple(_resolve(args, f"v{i}", config, None, cast=float) for i in (1, 2, 3))
+    v = (args.v1, args.v2, args.v3)
     if any(x is None for x in v):
         raise UsageError("--v1, --v2 and --v3 are required (millivolts)")
-    fsr = _resolve(args, "fsr", config, 5000.0, cast=float)
 
-    tm = load_model(model_path)
+    tm = load_model(args.model)
     voltages = ChannelVoltages(*v)
-    voltages.check_range(fsr)
+    voltages.check_range(args.fsr)
     pred = tm.predict(voltages)
 
-    if _resolve(args, "json", config, False, cast=bool):
+    if args.json:
         print(json.dumps({"glucose_mgdl": pred.value_mgdl, "kind": pred.kind,
                           "clamped": pred.clamped, "model": tm.tag}))
     else:
         note = "  [clamped]" if pred.clamped else ""
         print(f"{pred.value_mgdl:.3f} mg/dl ({pred.kind}, {tm.tag}){note}")
 
-    if _resolve(args, "enqueue", config, False, cast=bool):
-        queue_dir = _resolve(args, "queue", config, None, env_var=ENV_QUEUE_DIR)
-        if queue_dir is None:
+    if args.enqueue:
+        if args.queue is None:
             raise UsageError("--enqueue needs --queue DIR (or GLUCOKIT_QUEUE_DIR)")
-        patient = _resolve(args, "patient_id", config, "anonymous", cast=str)
-        device = _resolve(args, "device_id", config, "iglu-sim-0", cast=str)
-        ts = _resolve(args, "timestamp", config, None) or _utc_now()
+        patient, device = args.patient_id, args.device_id
+        ts = args.timestamp or _utc_now()
         key = "|".join([patient, device, ts, repr(v[0]), repr(v[1]), repr(v[2]), tm.tag])
         rid = hashlib.sha256(key.encode()).hexdigest()[:32]
         record = ReadingRecord(
@@ -377,33 +346,25 @@ def cmd_predict(args, config: dict) -> int:
             glucose=GlucoseValue(pred.value_mgdl, pred.kind),
             model_tag=tm.tag, device_id=device,
         )
-        with UploadQueue(queue_dir) as q:
+        with UploadQueue(args.queue) as q:
             q.enqueue(record)
-            print(f"enqueued {rid} ({q.pending_count()} pending in {queue_dir})")
+            print(f"enqueued {rid} ({q.pending_count()} pending in {args.queue})")
     return 0
 
 
 # -------------------------------------------------------------------- sync
 
 def cmd_sync(args, config: dict) -> int:
-    queue_dir = _resolve(args, "queue", config, None, env_var=ENV_QUEUE_DIR)
-    endpoint = _resolve(args, "endpoint", config, None, env_var=ENV_ENDPOINT)
-    if queue_dir is None:
+    if args.queue is None:
         raise UsageError("--queue DIR is required (or GLUCOKIT_QUEUE_DIR)")
-    if endpoint is None:
+    if args.endpoint is None:
         raise UsageError("--endpoint URL is required (or GLUCOKIT_ENDPOINT)")
-    retry = RetryPolicy(
-        base_delay=_resolve(args, "base_delay", config, 0.1, cast=float),
-        max_delay=_resolve(args, "max_delay", config, 2.0, cast=float),
-        jitter=_resolve(args, "jitter", config, 0.1, cast=float),
-        max_attempts=_resolve(args, "max_attempts", config, 6, cast=int),
-    )
-    timeout = _resolve(args, "timeout", config, 10.0, cast=float)
-    seed = _resolve(args, "seed", config, 0, cast=int)
+    retry = RetryPolicy(base_delay=args.base_delay, max_delay=args.max_delay,
+                        jitter=args.jitter, max_attempts=args.max_attempts)
 
-    with UploadQueue(queue_dir) as q:
-        stats = run_sync(q, endpoint, retry, timeout=timeout,
-                         rng=np.random.default_rng(seed))
+    with UploadQueue(args.queue) as q:
+        stats = run_sync(q, args.endpoint, retry, timeout=args.timeout,
+                         rng=np.random.default_rng(args.seed))
         print(f"uploaded {stats.uploaded}  dead-lettered {stats.dead_lettered}  "
               f"remaining {stats.remaining}  attempts {stats.attempts}")
         for record, reason in q.dead_letters():
@@ -420,8 +381,11 @@ _REPORT_COLUMNS = ("model", "kind", "split", "n", "mARD %", "AvgE %",
 
 
 def _report_row(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as e:  # invalid JSON or invalid UTF-8
+        raise DataError(f"report {path}: not valid JSON ({e})") from e
     try:
         m = doc["metrics"]
         pct = doc["ceg"]["percentages"]
@@ -432,16 +396,15 @@ def _report_row(path: str) -> list[str]:
             f"{m['mad_mgdl']:.3f}", f"{m['rmse_mgdl']:.3f}",
             f"{m['r_pearson']:.5f}",
         ] + [f"{pct[z]:.1f}" for z in ZONES]
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise DataError(f"report {path}: missing field {e}") from e
+    except (TypeError, ValueError) as e:  # a field of the wrong type, e.g. text metrics
+        raise DataError(f"report {path}: malformed field ({e})") from e
 
 
 def cmd_report(args, config: dict) -> int:
-    fmt = _resolve(args, "format", config, "md", cast=str)
-    if fmt not in ("md", "csv"):
-        raise UsageError(f"--format must be md or csv, got {fmt!r}")
     rows = [_report_row(p) for p in args.reports]
-    if fmt == "md":
+    if args.format == "md":
         lines = ["| " + " | ".join(_REPORT_COLUMNS) + " |",
                  "|" + "|".join("---" for _ in _REPORT_COLUMNS) + "|"]
         lines += ["| " + " | ".join(row) + " |" for row in rows]
@@ -454,13 +417,12 @@ def cmd_report(args, config: dict) -> int:
         w.writerows(rows)
         lines = buf.getvalue().splitlines()
     text = "\n".join(lines) + "\n"
-    out = _resolve(args, "out", config, None)
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {out}")
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -468,8 +430,8 @@ def cmd_report(args, config: dict) -> int:
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="JSON file supplying defaults for any flag")
+    common.add_argument("--config", help="JSON file supplying defaults for any flag")
+    splits = ("auto", "calibration", "validation", "testing", "all")
 
     p = _Parser(prog="glucokit",
                 description="Synthetic NIR glucometer pipeline: simulate, "
@@ -478,97 +440,94 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("simulate", parents=[common],
                        help="generate a synthetic dataset CSV")
-    s.add_argument("--n", type=int, default=None, help="number of samples")
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--out", default=None, help="output CSV path")
-    s.add_argument("--range", default=None, metavar="LO:HI",
+    s.add_argument("--n", type=int, help="number of samples")
+    s.add_argument("--seed", type=int)
+    s.add_argument("--out", help="output CSV path")
+    s.add_argument("--range", type=_numbers(2, ":"), default="60:340", metavar="LO:HI",
                    help="glucose range in mg/dl (default 60:340)")
-    s.add_argument("--noise-sd", type=float, default=None,
-                   help="channel noise sd in mV (default 6)")
-    s.add_argument("--n-raw", type=int, default=None,
+    s.add_argument("--noise-sd", type=float, help="channel noise sd in mV (default 6)")
+    s.add_argument("--n-raw", type=int, default=1024,
                    help="raw samples averaged per channel (default 1024)")
-    s.add_argument("--serum-delta", type=float, default=None,
+    s.add_argument("--serum-delta", type=float, default=0.05,
                    help="serum = capillary*(1-delta); default 0.05")
-    s.add_argument("--no-serum", action="store_true", default=None,
+    s.add_argument("--no-serum", action="store_true",
                    help="emit capillary references only")
-    s.add_argument("--split-fractions", default=None, metavar="C,V,T",
+    s.add_argument("--split-fractions", type=_numbers(3, ","), default="0.6,0.4,0.0",
+                   metavar="C,V,T",
                    help="calibration,validation,test fractions (default 0.6,0.4,0.0)")
-    s.add_argument("--id-prefix", default=None)
+    s.add_argument("--id-prefix", default="sim")
     s.set_defaults(func=cmd_simulate)
 
     c = sub.add_parser("calibrate", parents=[common],
                        help="fit a model on the calibration split")
-    c.add_argument("--train", default=None, help="training CSV")
-    c.add_argument("--model", default=None,
+    c.add_argument("--train", help="training CSV")
+    c.add_argument("--model", default="mpr3",
                    help="model spec (default mpr3); one of " + ", ".join(MODEL_SPECS))
-    c.add_argument("--kind", default=None, choices=GLUCOSE_KINDS)
-    c.add_argument("--out", default=None, help="model JSON output path")
-    c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--split", default=None, choices=("auto", "calibration",
-                                                     "validation", "testing", "all"))
-    c.add_argument("--timestamp", default=None,
-                   help="ISO timestamp recorded in model metadata")
-    c.add_argument("--no-intercept", action="store_true", default=None,
+    c.add_argument("--kind", default="capillary", choices=GLUCOSE_KINDS)
+    c.add_argument("--out", help="model JSON output path")
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--split", default="auto", choices=splits)
+    c.add_argument("--timestamp", help="ISO timestamp recorded in model metadata")
+    # the stored value is the option itself: intercept=False
+    c.add_argument("--no-intercept", action="store_const", const=False,
                    help="mpr3: drop the fitted intercept")
-    c.add_argument("--svr-eps", type=float, default=None, help="svr: tube half-width")
-    c.add_argument("--svr-c", type=float, default=None, help="svr: box constraint")
-    c.add_argument("--hidden-layers", default=None, metavar="N|A..B",
+    c.add_argument("--svr-eps", type=float, help="svr: tube half-width")
+    c.add_argument("--svr-c", type=float, help="svr: box constraint")
+    c.add_argument("--hidden-layers", type=_parse_depths, metavar="N|A..B",
                    help="dnn: depth, or an inclusive sweep like 1..10")
-    c.add_argument("--width", type=int, default=None, help="dnn: neurons per layer")
-    c.add_argument("--max-iters", type=int, default=None)
-    c.add_argument("--sse-tol", type=float, default=None)
-    c.add_argument("--lambda0", type=float, default=None)
+    c.add_argument("--width", type=int, help="dnn: neurons per layer")
+    c.add_argument("--max-iters", type=int)
+    c.add_argument("--sse-tol", type=float)
+    c.add_argument("--lambda0", type=float)
     c.set_defaults(func=cmd_calibrate)
 
     v = sub.add_parser("validate", parents=[common],
                        help="evaluate a model; write report JSON and SVG plots")
-    v.add_argument("--model", default=None, help="model JSON path")
-    v.add_argument("--data", default=None, help="dataset CSV")
-    v.add_argument("--out-dir", default=None)
-    v.add_argument("--kind", default=None, choices=GLUCOSE_KINDS,
+    v.add_argument("--model", help="model JSON path")
+    v.add_argument("--data", help="dataset CSV")
+    v.add_argument("--out-dir")
+    v.add_argument("--kind", choices=GLUCOSE_KINDS,
                    help="reference kind (default: the model's)")
-    v.add_argument("--split", default=None, choices=("auto", "calibration",
-                                                     "validation", "testing", "all"))
-    v.add_argument("--group-by", default=None, choices=("sex", "mode"))
+    v.add_argument("--split", default="auto", choices=splits)
+    v.add_argument("--group-by", choices=("sex", "mode"))
     v.set_defaults(func=cmd_validate)
 
     q = sub.add_parser("predict", parents=[common],
                        help="predict glucose from three channel voltages")
-    q.add_argument("--model", default=None, help="model JSON path")
-    q.add_argument("--v1", type=float, default=None, help="channel 1, mV")
-    q.add_argument("--v2", type=float, default=None, help="channel 2, mV")
-    q.add_argument("--v3", type=float, default=None, help="channel 3, mV")
-    q.add_argument("--fsr", type=float, default=None,
+    q.add_argument("--model", help="model JSON path")
+    q.add_argument("--v1", type=float, help="channel 1, mV")
+    q.add_argument("--v2", type=float, help="channel 2, mV")
+    q.add_argument("--v3", type=float, help="channel 3, mV")
+    q.add_argument("--fsr", type=float, default=5000.0,
                    help="ADC full-scale range in mV (default 5000)")
-    q.add_argument("--json", action="store_true", default=None,
+    q.add_argument("--json", action="store_true",
                    help="print a JSON object instead of text")
-    q.add_argument("--enqueue", action="store_true", default=None,
+    q.add_argument("--enqueue", action="store_true",
                    help="append the reading to the upload queue")
-    q.add_argument("--queue", default=None, help="queue directory")
-    q.add_argument("--patient-id", default=None)
-    q.add_argument("--device-id", default=None)
-    q.add_argument("--timestamp", default=None,
-                   help="reading timestamp (default: now, UTC)")
+    q.add_argument("--queue", help="queue directory")
+    q.add_argument("--patient-id", default="anonymous")
+    q.add_argument("--device-id", default="iglu-sim-0")
+    q.add_argument("--timestamp", help="reading timestamp (default: now, UTC)")
     q.set_defaults(func=cmd_predict)
 
     y = sub.add_parser("sync", parents=[common],
                        help="upload queued readings to the endpoint")
-    y.add_argument("--queue", default=None, help="queue directory")
-    y.add_argument("--endpoint", default=None,
+    y.add_argument("--queue", help="queue directory")
+    y.add_argument("--endpoint",
                    help="ingest base URL; records POST to {endpoint}/v1/readings")
-    y.add_argument("--max-attempts", type=int, default=None)
-    y.add_argument("--base-delay", type=float, default=None)
-    y.add_argument("--max-delay", type=float, default=None)
-    y.add_argument("--jitter", type=float, default=None)
-    y.add_argument("--timeout", type=float, default=None)
-    y.add_argument("--seed", type=int, default=None, help="retry jitter seed")
+    y.add_argument("--max-attempts", type=int, default=6)
+    y.add_argument("--base-delay", type=float, default=0.1)
+    y.add_argument("--max-delay", type=float, default=2.0)
+    y.add_argument("--jitter", type=float, default=0.1)
+    y.add_argument("--timeout", type=float, default=10.0)
+    y.add_argument("--seed", type=int, default=0, help="retry jitter seed")
     y.set_defaults(func=cmd_sync)
 
     r = sub.add_parser("report", parents=[common],
                        help="render a comparison table from report JSONs")
     r.add_argument("reports", nargs="+", metavar="REPORT_JSON")
-    r.add_argument("--format", default=None, choices=("md", "csv"))
-    r.add_argument("--out", default=None, help="write the table here instead of stdout")
+    r.add_argument("--format", default="md", choices=("md", "csv"))
+    r.add_argument("--out", help="write the table here instead of stdout")
     r.set_defaults(func=cmd_report)
 
     return p
@@ -578,11 +537,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
+        if args.command is None:
             parser.print_usage(sys.stderr)
             print("glucokit: a COMMAND is required", file=sys.stderr)
             return 1
-        config = _load_flag_config(getattr(args, "config", None))
+        # parse again with config, then env, values as the command's defaults
+        config = _load_flag_config(args.config)
+        env = {flag: os.environ[var]
+               for var, flag in ENV_FLAGS.items() if var in os.environ}
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        _layer_defaults(commands[args.command], config, env)
+        args = parser.parse_args(argv)
         return args.func(args, config)
     except UsageError as e:
         print(f"glucokit: usage error: {e}", file=sys.stderr)

@@ -16,6 +16,7 @@ Voltages are decimal millivolts.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -184,7 +185,11 @@ def load_csv(path) -> Dataset:
     labels: dict[str, str] = {}
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8 ({exc})") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
             header = next(reader)
         except StopIteration:
@@ -201,8 +206,6 @@ def load_csv(path) -> Dataset:
                     f"row {lineno}: expected {len(CSV_HEADER)} columns, got {len(row)}"
                 )
             (sid, ch1, ch2, ch3, cap, ser, mode, sex, age, split) = [c.strip() for c in row]
-            if not sid:
-                raise DataError(f"row {lineno}: empty sample id")
             if sid in seen:
                 raise DataError(f"row {lineno}: duplicate sample id {sid!r}")
             seen.add(sid)
@@ -218,15 +221,8 @@ def load_csv(path) -> Dataset:
             def glucose(text: str, kind: str) -> GlucoseValue | None:
                 if not text:
                     return None
-                v = _parse_float(text, f"{kind}_mgdl", lineno)
-                if v <= 0:
-                    raise DataError(f"row {lineno}: {kind}_mgdl must be > 0, got {v}")
-                return GlucoseValue(v, kind)
+                return GlucoseValue(_parse_float(text, f"{kind}_mgdl", lineno), kind)
 
-            if mode and mode not in MODES:
-                raise DataError(f"row {lineno}: invalid mode {mode!r}")
-            if sex and sex not in SEXES:
-                raise DataError(f"row {lineno}: invalid sex {sex!r}")
             if split and split not in SPLITS:
                 raise DataError(f"row {lineno}: invalid split {split!r}")
             age_years = None
@@ -235,8 +231,6 @@ def load_csv(path) -> Dataset:
                     age_years = int(age)
                 except ValueError:
                     raise DataError(f"row {lineno}: age is not an integer: {age!r}") from None
-                if age_years < 0:
-                    raise DataError(f"row {lineno}: age must be >= 0, got {age_years}")
             try:
                 sample = Sample(
                     id=sid,

@@ -90,6 +90,6 @@ def load_model(path) -> TrainedModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     return model_from_dict(doc)

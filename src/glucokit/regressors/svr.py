@@ -110,10 +110,14 @@ class SvrModel(FamilyModel):
         # array copies of the tuple fields, derived once; not fields, so they
         # stay out of ==, repr and the model document
         beta = np.asarray(self.beta, dtype=float)
+        inputs = np.asarray(self.train_inputs, dtype=float)
+        finite = np.isfinite(beta).all() and np.isfinite(inputs).all()
+        if not (finite and math.isfinite(self.bias)):
+            raise DataError("svr model has non-finite parameters")
         if (np.abs(beta) > self.c * (1 + 1e-9)).any():
             raise DataError("dual coefficient exceeds box constraint C")
         object.__setattr__(self, "_beta", beta)
-        object.__setattr__(self, "_inputs", np.asarray(self.train_inputs, dtype=float))
+        object.__setattr__(self, "_inputs", inputs)
 
     def support_count(self, tol: float = 1e-9) -> int:
         return int((np.abs(self._beta) > tol).sum())

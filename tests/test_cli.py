@@ -336,11 +336,18 @@ class TestReport:
         assert lines[0].split(",")[:4] == ["model", "kind", "split", "n"]
         assert len(lines) == 2
 
-    def test_malformed_report_is_data_error(self, tmp_path):
+    @pytest.mark.parametrize("make, message", [
+        (lambda doc: "{}", "missing field"),
+        (lambda doc: "{ not json", "not valid JSON"),
+        (lambda doc: json.dumps({**doc, "metrics": {**doc["metrics"], "mard_pct": "x"}}),
+         "malformed field"),
+    ], ids=["empty-object", "not-json", "text-metric"])
+    def test_malformed_report_is_data_error(self, tmp_path, report_json, make, message):
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
+        bad.write_text(make(json.loads(report_json.read_text())))
         rc, _, err = run(["report", str(bad)])
-        assert rc == 2 and "missing field" in err
+        assert rc == 2 and message in err
+        assert str(bad) in err and err.count("\n") == 1
 
 
 class TestTopLevel:
@@ -386,3 +393,101 @@ class TestTopLevel:
         rc, _, err = run(["simulate", "--config", str(cfg),
                           "--n", "5", "--out", str(tmp_path / "d.csv")])
         assert rc == 2 and "top level" in err
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", {"no_serum": "false"}),   # a switch wants a JSON boolean
+        ("simulate", {"seed": 3.7}),           # parsed by --seed's int type
+        ("simulate", {"n": True}),             # a boolean for a non-switch
+        ("calibrate", {"split": "bogus"}),     # outside --split's choices
+        ("calibrate", {"kind": "plasma"}),     # outside --kind's choices
+    ], ids=["no_serum-text", "seed-fraction", "n-boolean", "split-bogus", "kind-plasma"])
+    def test_bad_config_value_is_usage_error(self, workspace, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = {"simulate": ["simulate", "--n", "30", "--out", str(tmp_path / "d.csv")],
+                "calibrate": ["calibrate", "--train", str(workspace["data"])]}[command]
+        rc, _, err = run(argv + ["--config", str(cfg)])
+        assert rc == 1 and "usage error" in err
+
+    def test_family_option_from_config_is_policed(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"width": 3}))
+        rc, _, err = run(["calibrate", "--train", str(workspace["data"]),
+                          "--model", "mpr3", "--config", str(cfg)])
+        assert rc == 1 and "dnn" in err
+
+    def test_config_keys_naming_no_flag_are_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"func": 1, "forward_model": {"seed": 3}}))
+        rc, text, err = run(["simulate", "--config", str(cfg),
+                             "--n", "30", "--out", str(tmp_path / "d.csv")])
+        assert rc == 0, err
+        assert "seed 3" in text
+
+    def test_depth_sweep_from_config(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hidden_layers": "1..2", "width": 3, "max_iters": 5}))
+        rc, text, err = run(["calibrate", "--train", str(workspace["data"]),
+                             "--model", "dnn", "--config", str(cfg)])
+        assert rc == 0, err
+        assert "hidden-layer sweep" in text and "best depth" in text
+
+    @pytest.mark.parametrize("given", [("flag", "env", "config"), ("env", "config"),
+                                       ("config",)])
+    def test_flag_beats_env_beats_config_for_queue(self, workspace, tmp_path, monkeypatch,
+                                                   given):
+        dirs = {layer: tmp_path / layer for layer in given}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"queue": str(dirs["config"])}))
+        monkeypatch.delenv("GLUCOKIT_QUEUE_DIR", raising=False)
+        if "env" in given:
+            monkeypatch.setenv("GLUCOKIT_QUEUE_DIR", str(dirs["env"]))
+        argv = ["predict", "--model", str(workspace["model"]), "--config", str(cfg),
+                "--v1", "2500", "--v2", "2100", "--v3", "1900",
+                "--enqueue", "--timestamp", "2026-03-01T10:00:00Z"]
+        if "flag" in given:
+            argv += ["--queue", str(dirs["flag"])]
+        rc, _, err = run(argv)
+        assert rc == 0, err
+        assert [layer for layer, d in dirs.items() if d.exists()] == [given[0]]
+
+    @pytest.mark.parametrize("given", [("flag", "env", "config"), ("env", "config"),
+                                       ("config",)])
+    def test_flag_beats_env_beats_config_for_endpoint(self, workspace, tmp_path,
+                                                      monkeypatch, given):
+        qdir = tmp_path / "q"
+        rc, *_ = run(["predict", "--model", str(workspace["model"]),
+                      "--v1", "2500", "--v2", "2100", "--v3", "1900",
+                      "--enqueue", "--queue", str(qdir),
+                      "--timestamp", "2026-03-01T10:00:00Z"])
+        assert rc == 0
+        with MockEndpoint() as ep:
+            # only the winning layer names the live endpoint; a malformed URL
+            # would exit 2 before any attempt
+            url = {layer: ep.url if layer == given[0] else "notaurl" for layer in given}
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"endpoint": url["config"]}))
+            monkeypatch.delenv("GLUCOKIT_ENDPOINT", raising=False)
+            if "env" in given:
+                monkeypatch.setenv("GLUCOKIT_ENDPOINT", url["env"])
+            argv = ["sync", "--queue", str(qdir), "--config", str(cfg)]
+            if "flag" in given:
+                argv += ["--endpoint", url["flag"]]
+            rc, out, err = run(argv)
+            assert rc == 0, err
+            assert "uploaded 1" in out and ep.snapshot()["count"] == 1
+
+    @pytest.mark.parametrize("which", ["config", "dataset", "model"])
+    def test_non_utf8_input_is_data_error(self, workspace, tmp_path, which):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe not utf-8\n")
+        argv = {
+            "config": ["simulate", "--config", str(bad),
+                       "--n", "5", "--out", str(tmp_path / "d.csv")],
+            "dataset": ["calibrate", "--train", str(bad)],
+            "model": ["predict", "--model", str(bad),
+                      "--v1", "2500", "--v2", "2100", "--v3", "1900"],
+        }[which]
+        rc, _, err = run(argv)
+        assert rc == 2 and err.startswith("glucokit: data error")
+        assert str(bad) in err and err.count("\n") == 1

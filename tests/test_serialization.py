@@ -128,6 +128,22 @@ class TestMalformedDocuments:
         with pytest.raises(DataError, match="layer 1 has non-finite parameters"):
             load_model(path)
 
+    @pytest.mark.parametrize("where", ["beta", "train_inputs", "bias"])
+    def test_non_finite_svr_parameter_rejected(self, where, dataset_factory, tmp_path):
+        path = tmp_path / "svr.json"
+        save_model(fit_any("svr:linear", dataset_factory(n=22, seed=2)), path)
+        doc = json.loads(path.read_text())
+        params = doc["params"]
+        if where == "beta":
+            params["beta"][0] = math.nan
+        elif where == "train_inputs":
+            params["train_inputs"][0][0] = math.inf
+        else:
+            params["bias"] = math.nan
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="svr model has non-finite parameters"):
+            load_model(path)
+
     def test_svr_beta_outside_box_rejected(self, dataset_factory):
         doc = model_to_dict(fit_any("svr:linear", dataset_factory(n=22, seed=2)))
         doc["params"]["beta"][3] = -2.0 * doc["params"]["c"]
