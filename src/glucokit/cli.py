@@ -22,6 +22,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -106,16 +107,17 @@ def _utc_now() -> str:
 
 
 def _numbers(count: int, sep: str):
-    """A type= parser for `count` numbers joined by sep, e.g. 60:340."""
+    """A type= parser for `count` finite numbers joined by sep, e.g. 60:340."""
     def parse(text: str) -> tuple[float, ...]:
         parts = text.split(sep)
         try:
-            if len(parts) == count:
-                return tuple(float(p) for p in parts)
+            values = tuple(float(p) for p in parts)
         except ValueError:
-            pass
+            values = ()
+        if len(values) == count and all(map(math.isfinite, values)):
+            return values
         raise argparse.ArgumentTypeError(
-            f"wants {count} numbers joined by {sep!r}, got {text!r}")
+            f"wants {count} finite numbers joined by {sep!r}, got {text!r}")
     return parse
 
 

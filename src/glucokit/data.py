@@ -368,8 +368,9 @@ def split_dataset(d: Dataset, seed: int, fractions) -> Dataset:
         raise DataError("fractions must be a (calibration, validation, testing) triple")
     if (fr < 0).any():
         raise DataError("fractions must be non-negative")
-    if abs(fr.sum() - 1.0) > 1e-9:
-        raise DataError(f"fractions must sum to 1, got {fr.sum()!r}")
+    total = float(fr.sum())
+    if not abs(total - 1.0) <= 1e-9:  # written so that a NaN fails too
+        raise DataError(f"fractions must sum to 1, got {total!r}")
     n = len(d.samples)
     if n == 0:
         return d.with_splits({})

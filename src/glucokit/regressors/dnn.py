@@ -25,12 +25,8 @@ LAMBDA_LIMIT = 1e10
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically safe logistic; exact 1/(1+exp(-x)) in both tails."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -175,16 +171,20 @@ def batch_jacobian(widths: tuple[int, ...], theta: np.ndarray, X: np.ndarray) ->
     acts = [np.asarray(X, dtype=float)]
     for w, b in zip(ws[:-1], bs[:-1]):
         acts.append(sigmoid(acts[-1] @ w.T + b))
-    n_layers = len(ws)
+    J = np.empty((n, len(theta)))
+    end = len(theta)
     delta = np.ones((n, 1))
-    blocks: list[np.ndarray | None] = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        w_block = np.einsum("io,ip->iop", delta, acts[l]).reshape(n, -1)
-        blocks[l] = np.hstack([w_block, delta])
+    for l in range(len(ws) - 1, -1, -1):
+        n_out, n_in = ws[l].shape
+        start = end - n_out * (n_in + 1)  # layer l's block: row-major w, then b
+        w_block = J[:, start:end - n_out].reshape(n, n_out, n_in)  # a view of J
+        np.einsum("io,ip->iop", delta, acts[l], out=w_block)
+        J[:, end - n_out:end] = delta
+        end = start
         if l > 0:
             a = acts[l]
             delta = (delta @ ws[l]) * (a * (1.0 - a))
-    return np.hstack(blocks)
+    return J
 
 
 @dataclass(frozen=True)
@@ -220,15 +220,16 @@ def levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray,
         dual = n_par > n_res
         H = J @ J.T if dual else J.T @ J
         g = None if dual else J.T @ r
-        eye = np.eye(H.shape[0])
         accepted = False
         solve_failed = True
         while lam <= LAMBDA_LIMIT:
+            damped = H.copy()
+            damped.flat[::len(H) + 1] += lam  # H + lam*I, bit for bit
             try:
                 if dual:
-                    delta = J.T @ np.linalg.solve(H + lam * eye, r)
+                    delta = J.T @ np.linalg.solve(damped, r)
                 else:
-                    delta = np.linalg.solve(H + lam * eye, g)
+                    delta = np.linalg.solve(damped, g)
             except np.linalg.LinAlgError:
                 lam *= cfg.lambda_up
                 continue

@@ -2,16 +2,23 @@
 
 The dual maximizes -1/2 b'Kb + b'y - eps*||b||_1 subject to sum(b) = 0 and
 |b_i| <= C, where b_i = alpha_i - alpha_i*. The solver is sequential minimal
-optimization on the stacked 2n-variable form: pick the maximal violating pair,
-take the exact two-variable step, repeat until the KKT gap m - M drops under
-tolerance. Inputs and response are z-scored before solving; the Gaussian scale
-conventions (sqrt(P), sqrt(P)/4, 4*sqrt(P) for P = 3 predictors) presume that.
+optimization on the stacked 2n-variable form with second-order working-set
+selection (WSS2, as in LIBSVM): take the maximal violator i, pair it with the
+j that promises the largest objective decrease, take the exact two-variable
+step, repeat until the KKT gap m - M drops under tolerance. The gradient is
+updated through K's columns and the up/low sets through the two variables a
+step touches. Before solving, the Gram matrix must be PSD to within
+1e-8 * max(1, max eigenvalue): a shifted Cholesky accepts it, and eigvalsh
+runs only when that fails. Inputs and response are z-scored before solving;
+the Gaussian scale conventions (sqrt(P), sqrt(P)/4, 4*sqrt(P) for P = 3
+predictors) presume that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -110,7 +117,12 @@ class SvrModel(FamilyModel):
         # array copies of the tuple fields, derived once; not fields, so they
         # stay out of ==, repr and the model document
         beta = np.asarray(self.beta, dtype=float)
-        inputs = np.asarray(self.train_inputs, dtype=float)
+        n = len(self.train_inputs)
+        if set(map(len, self.train_inputs)) - {N_PREDICTORS}:
+            # a ValueError, which load_model reports as a malformed document
+            raise ValueError(f"train_inputs rows must hold {N_PREDICTORS} values")
+        inputs = np.fromiter(chain.from_iterable(self.train_inputs), dtype=float,
+                             count=N_PREDICTORS * n).reshape(n, N_PREDICTORS)
         finite = np.isfinite(beta).all() and np.isfinite(inputs).all()
         if not (finite and math.isfinite(self.bias)):
             raise DataError("svr model has non-finite parameters")
@@ -135,11 +147,7 @@ class SvrModel(FamilyModel):
         if c <= 0:
             raise DataError(f"C must be > 0, got {c}")
         K = kernel_matrix(kernel, Xs)
-        evals = np.linalg.eigvalsh(K)
-        if evals[0] < -1e-8 * max(1.0, float(evals[-1])):
-            raise SolverError(
-                f"Gram matrix not PSD: min eigenvalue {evals[0]:.3e} (kernel bug?)"
-            )
+        _check_psd(K)
         beta, bias, _ = _solve_smo(K, ys, eps, c, tol, max_iters)
         _check_kkt(beta, K @ beta, bias, ys, eps, c, tol)
         fitted = {
@@ -171,63 +179,79 @@ def default_hyperparams(y_std: np.ndarray) -> tuple[float, float]:
     return iqr / 13.49, iqr / 1.349
 
 
+def _check_psd(K: np.ndarray) -> None:
+    """Reject K with min eigenvalue < -1e-8 * max(1, max eigenvalue).
+
+    The accept path is one Cholesky of K + d*I with d = 1e-8 * max(1, trace/n).
+    trace/n <= max eigenvalue, so d never exceeds the tolerance and a success
+    proves the bound. Only when it fails does eigvalsh decide.
+    """
+    n = len(K)
+    shifted = K.copy()
+    shifted.flat[::n + 1] += 1e-8 * max(1.0, float(np.trace(K)) / n)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        evals = np.linalg.eigvalsh(K)
+        if evals[0] < -1e-8 * max(1.0, float(evals[-1])):
+            raise SolverError(
+                f"Gram matrix not PSD: min eigenvalue {evals[0]:.3e} (kernel bug?)"
+            ) from None
+
+
 def _solve_smo(K: np.ndarray, y: np.ndarray, eps: float, c: float,
                tol: float, max_iters: int) -> tuple[np.ndarray, float, int]:
     """SMO on the stacked dual; returns (beta, bias, iterations).
 
-    State: u = (alpha; alpha*) in [0, C]^2n and h = K @ beta. The gradient of
-    the stacked objective is (h + eps - y; -h + eps + y); the maximal violating
-    pair is chosen on -z*grad with z = (+1...; -1...).
+    State: u = (alpha; alpha*) in [0, C]^2n, labels z = (+1...; -1...), and
+    v = -z*grad = (y - eps - h; y + eps - h) with h = K @ beta. v is kept up
+    to date through K's columns, so no 2n x 2n matrix is formed. The up set
+    (where u_t may move in direction z_t) and the low set (direction -z_t)
+    are boolean masks, updated at the two variables a step touches.
+
+    Working-set selection is WSS2 (Fan, Chen & Lin, JMLR 6, 2005; LIBSVM's
+    rule): i maximizes v over the up set, giving m; j maximizes
+    (m - v_j)^2 / a_ij over the low set where v_j < m, with
+    a_ij = K_ii + K_jj - 2K_ij (indices mod n) floored at 1e-12. That ratio is
+    the objective decrease of the unclipped two-variable step. The run stops
+    when m - min(v over low) drops under tol.
     """
     n = len(y)
     u = np.zeros(2 * n)
-    h = np.zeros(n)
+    v = np.concatenate([y - eps, y + eps])
+    up = np.arange(2 * n) < n     # at u = 0 only the alphas can rise
+    low = ~up                     # and only the alpha*s
+    halves = v.reshape(2, n)      # a view: (alpha rows; alpha* rows)
     diag = np.diag(K).copy()
-    for it in range(max_iters):
-        g1 = h + eps - y
-        g2 = -h + eps + y
-        vals = np.concatenate([-g1, g2])
-        up_mask = np.concatenate([u[:n] < c, u[n:] > 0.0])
-        low_mask = np.concatenate([u[:n] > 0.0, u[n:] < c])
-        if not up_mask.any() or not low_mask.any():
-            break
-        up_idx = np.flatnonzero(up_mask)
-        low_idx = np.flatnonzero(low_mask)
-        i = int(up_idx[np.argmax(vals[up_idx])])
-        j = int(low_idx[np.argmin(vals[low_idx])])
-        m_val = float(vals[i])
-        big_m_val = float(vals[j])
+    for it in range(max_iters + 1):
+        v_up = np.where(up, v, -np.inf)
+        v_low = np.where(low, v, np.inf)
+        i = int(v_up.argmax())
+        m_val, big_m_val = float(v_up[i]), float(v_low.min())
         if m_val - big_m_val <= tol:
-            bias = _bias_from_state(u, vals, m_val, big_m_val, n, c)
-            return u[:n] - u[n:], bias, it
-        ic, jc = i % n, j % n
-        a = diag[ic] + diag[jc] - 2.0 * K[ic, jc]
-        if a <= 1e-12:
-            a = 1e-12
-        t = (m_val - big_m_val) / a
+            return u[:n] - u[n:], _bias_from_state(u, v, m_val, big_m_val, n, c), it
+        if it == max_iters:
+            break
+        ic = i % n
+        a_i = np.maximum(diag[ic] + diag - 2.0 * K[ic], 1e-12)
+        gain = np.maximum(m_val - v_low, 0.0).reshape(2, n)
+        j = int((gain * gain / a_i).argmax())
+        jc = j % n
+        t = (m_val - float(v[j])) / a_i[jc]
         t = min(t, c - u[i] if i < n else u[i])
         t = min(t, u[j] if j < n else c - u[j])
         if t <= 0:
             break
         u[i] += t if i < n else -t
         u[j] += -t if j < n else t
-        u[i] = min(max(u[i], 0.0), c)
-        u[j] = min(max(u[j], 0.0), c)
-        if ic != jc:
-            h += t * (K[:, ic] - K[:, jc])
-    g1 = h + eps - y
-    g2 = -h + eps + y
-    vals = np.concatenate([-g1, g2])
-    up_idx = np.flatnonzero(np.concatenate([u[:n] < c, u[n:] > 0.0]))
-    low_idx = np.flatnonzero(np.concatenate([u[:n] > 0.0, u[n:] < c]))
-    gap = float(vals[up_idx].max() - vals[low_idx].min()) if len(up_idx) and len(low_idx) else 0.0
-    if gap <= tol:
-        m_val = float(vals[up_idx].max()) if len(up_idx) else 0.0
-        big_m_val = float(vals[low_idx].min()) if len(low_idx) else 0.0
-        return u[:n] - u[n:], _bias_from_state(u, vals, m_val, big_m_val, n, c), max_iters
+        for k in (i, j):
+            u[k] = min(max(u[k], 0.0), c)
+            up[k] = u[k] < c if k < n else u[k] > 0.0
+            low[k] = u[k] > 0.0 if k < n else u[k] < c
+        halves -= t * (K[:, ic] - K[:, jc])
     raise SolverError(
         f"SVR dual failed to converge in {max_iters} iterations; "
-        f"worst KKT violation {gap:.3e} (tol {tol:.0e})"
+        f"worst KKT violation {m_val - big_m_val:.3e} (tol {tol:.0e})"
     )
 
 

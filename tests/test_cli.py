@@ -71,6 +71,11 @@ class TestSimulate:
         ["simulate", "--n", "5"],                     # missing --out
         ["simulate", "--n", "5", "--out", "x.csv", "--range", "60-340"],
         ["simulate", "--n", "5", "--out", "x.csv", "--split-fractions", "1,0"],
+        # non-finite numbers; nan,0,0 used to write an all-calibration set
+        ["simulate", "--n", "5", "--out", "x.csv", "--split-fractions=nan,0,0"],
+        ["simulate", "--n", "5", "--out", "x.csv", "--split-fractions", "inf,0,0"],
+        ["simulate", "--n", "5", "--out", "x.csv", "--range", "60:nan"],
+        ["simulate", "--n", "5", "--out", "x.csv", "--range=-inf:340"],
     ])
     def test_usage_errors(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -218,6 +218,16 @@ class TestSplitDataset:
         with pytest.raises(DataError):
             split_dataset(d, seed=0, fractions=(-0.1, 0.6, 0.5))
 
+    @pytest.mark.parametrize("fractions,shown", [
+        ((0.5, 0.5, 0.5), "1.5"),
+        ((float("nan"), 0.0, 0.0), "nan"),
+    ])
+    def test_bad_sum_message(self, fractions, shown, dataset_factory):
+        d = dataset_factory(n=30)
+        with pytest.raises(DataError) as info:
+            split_dataset(d, seed=0, fractions=fractions)
+        assert str(info.value) == f"fractions must sum to 1, got {shown}"
+
     def test_rejects_tiny_strata_for_real_splits(self, dataset_factory):
         d = dataset_factory(n=5, seed=1)
         with pytest.raises(DataError, match="stratum"):

@@ -144,6 +144,17 @@ class TestMalformedDocuments:
         with pytest.raises(DataError, match="svr model has non-finite parameters"):
             load_model(path)
 
+    @pytest.mark.parametrize("reshape", [
+        lambda rows: [rows[0][:2]] + rows[1:],                       # one short row
+        lambda rows: [rows[0][:2], rows[1] + [0.5]] + rows[2:],      # ragged, same total
+        lambda rows: [r + [0.0] for r in rows],                      # every row too wide
+    ], ids=["short-row", "ragged", "wide"])
+    def test_svr_train_inputs_of_wrong_width_rejected(self, reshape, dataset_factory):
+        doc = model_to_dict(fit_any("svr:linear", dataset_factory(n=22, seed=2)))
+        doc["params"]["train_inputs"] = reshape(doc["params"]["train_inputs"])
+        with pytest.raises(DataError, match="malformed model document"):
+            model_from_dict(doc)
+
     def test_svr_beta_outside_box_rejected(self, dataset_factory):
         doc = model_to_dict(fit_any("svr:linear", dataset_factory(n=22, seed=2)))
         doc["params"]["beta"][3] = -2.0 * doc["params"]["c"]

@@ -5,10 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from glucokit.data import ChannelVoltages, Dataset, GlucoseValue, Sample
+from glucokit.acquisition import AdcConfig, ForwardModelConfig, generate_dataset
+from glucokit.data import ChannelVoltages, Dataset, GlucoseValue, Sample, split_dataset
 from glucokit.errors import DataError, SolverError
-from glucokit.regressors import KernelSpec, fit_svr, kernel_eval, kernel_matrix, predict_svr
-from glucokit.regressors.svr import default_hyperparams, svr_decision
+from glucokit.regressors import (
+    KernelSpec, Standardizer, fit_svr, kernel_eval, kernel_matrix, predict_svr, usable_samples,
+)
+from glucokit.regressors.base import design_arrays
+from glucokit.regressors.svr import (
+    KKT_TOL, MAX_SMO_ITERS, _solve_smo, default_hyperparams, svr_decision,
+)
 
 from oracles import brute_force_svr_dual, svr_dual_objective, svr_kkt_violations
 
@@ -195,3 +201,27 @@ class TestFitBehavior:
         z = m.x_scaler.transform(v.as_array())
         manual = float(m.y_scaler.inverse(np.array([svr_decision(m, z)]))[0])
         assert predict_svr(m, v).value_mgdl == pytest.approx(manual)
+
+
+class TestWorkingSetSelection:
+    """The calibration split of `simulate --n 1000 --seed 42`. With first-order
+    (maximal violating pair) selection, svr:quadratic hit the 100000-iteration
+    cap there and svr:fine-gaussian needed 11,976 iterations."""
+
+    @pytest.fixture(scope="class")
+    def calibration(self):
+        ds = generate_dataset(1000, (60.0, 340.0), ForwardModelConfig(seed=42), AdcConfig())
+        return split_dataset(ds, seed=42, fractions=(0.6, 0.4, 0.0)).subset("calibration")
+
+    def test_quadratic_converges(self, calibration):
+        m = fit_svr(calibration, "capillary", KernelSpec("quadratic"))
+        assert 0 < m.support_count() < len(calibration.samples)
+
+    def test_fine_gaussian_iteration_count(self, calibration):
+        X, y = design_arrays(usable_samples(calibration, "capillary"), "capillary")
+        Xs = Standardizer.fit(X).transform(X)
+        ys = Standardizer.fit(y).transform(y)
+        K = kernel_matrix(KernelSpec.gaussian("fine"), Xs)
+        eps, c = default_hyperparams(ys)
+        _, _, iterations = _solve_smo(K, ys, eps, c, KKT_TOL, MAX_SMO_ITERS)
+        assert iterations < 2000
