@@ -1,10 +1,14 @@
 """Durable upload queue: a write-ahead JSONL log plus acknowledgment log.
 
-Directory layout (all files append-only during normal operation):
+Directory layout:
 
-    queue.log       one JSON record per line, enqueue order
-    acked.log       one acknowledged reading_id per line
-    deadletter.log  one JSON {record..., "reason"} per line
+    queue.log             one JSON record per line, enqueue order
+    acked.log             one acknowledged reading_id per line
+    deadletter.log        one JSON {record..., "reason"} per line
+    last_timestamps.json  one line: each device's last enqueued timestamp,
+                          written by compaction
+    lock                  the flock that orders compaction against other
+                          open queues
 
 A record is pending iff it appears in queue.log and its id is in neither
 acked.log nor deadletter.log. Every append is flushed and fsynced before the
@@ -15,12 +19,23 @@ is not the final one means real corruption and is an error.
 An open decodes and validates every complete line of all three logs, but
 builds a ReadingRecord only for the pending records of queue.log (plus one
 per dead letter); acked and dead-lettered queue.log lines are checked against
-the same field rules and then dropped. The open therefore still reads the
-whole history: compact() is what bounds it. pending_count() is O(1).
+the same field rules and then dropped. pending_count() is O(1).
+
+Compaction bounds what an open reads. Once COMPACT_AT lines of queue.log are
+settled (acked or dead-lettered), the next enqueue rewrites queue.log with only
+the pending records and empties acked.log; dead letters stay. Open, sync and
+close never rewrite queue.log. Every open queue holds a shared flock on `lock`
+until it is closed, and compaction needs it exclusive, so it happens only
+when no other queue (in this process or another) has the directory open; an
+enqueue that cannot have it skips compaction and appends as usual. An open
+therefore waits only while another process is compacting. A reading acked
+and then compacted away is no longer known to the queue and can be enqueued
+again; the endpoint deduplicates it on reading_id.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import operator
 import os
@@ -34,6 +49,12 @@ from ..errors import DataError
 QUEUE_LOG = "queue.log"
 ACKED_LOG = "acked.log"
 DEADLETTER_LOG = "deadletter.log"
+LAST_TIMESTAMPS = "last_timestamps.json"
+LOCK_FILE = "lock"
+
+# settled queue.log lines at which an enqueue compacts first; a device that
+# syncs every 12 readings reads at most COMPACT_AT + 12 lines per open
+COMPACT_AT = 64
 
 WIRE_FIELDS = (
     "reading_id", "patient_id", "timestamp_utc", "glucose_mgdl",
@@ -82,6 +103,18 @@ def _wire_glucose(d) -> GlucoseValue:
         return GlucoseValue(float(v), kind)
     except OverflowError:
         raise DataError(f"glucose_mgdl out of range, got {v!r}") from None
+
+
+def _write(fh, data: bytes) -> None:
+    fh.write(data)
+    fh.flush()
+
+
+def _durable(op: str, fn, *args):
+    """Run one durability operation ("write", "fsync", "replace" or
+    "truncate"). Every one the queue makes goes through here, so a test can
+    count them and inject a crash before any of them."""
+    return fn(*args)
 
 
 def _decode_line(line: str):
@@ -153,19 +186,21 @@ def _read_lines(path) -> list[str]:
 
 
 class UploadQueue:
-    """Crash-safe pending-readings store. One writer and one syncer may run
-    concurrently; every mutation holds the internal lock."""
+    """Crash-safe pending-readings store. Queues in several threads or
+    processes may share a directory: appends need no lock beyond the internal
+    one, and compaction runs only when this queue has the directory alone."""
 
     def __init__(self, directory):
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.Lock()
-        self._pending: dict[str, ReadingRecord] = {}  # enqueue order
-        self._ids: set[str] = set()
-        self._acked: set[str] = set()
-        self._dead: dict[str, tuple[ReadingRecord, str]] = {}
-        self._last_ts: dict[str, str] = {}
-        self._load()
+        self._flock_fh = open(self._path(LOCK_FILE), "ab")
+        try:
+            fcntl.flock(self._flock_fh, fcntl.LOCK_SH)
+            self._load()
+        except BaseException:
+            self._flock_fh.close()
+            raise
         self._queue_fh = open(self._path(QUEUE_LOG), "ab")
         self._acked_fh = open(self._path(ACKED_LOG), "ab")
         self._dead_fh = open(self._path(DEADLETTER_LOG), "ab")
@@ -174,7 +209,12 @@ class UploadQueue:
         return os.path.join(self.directory, name)
 
     def _load(self) -> None:
+        self._pending: dict[str, ReadingRecord] = {}  # enqueue order
+        self._ids: set[str] = set()  # every reading_id in queue.log
+        self._dead: dict[str, tuple[ReadingRecord, str]] = {}
+        self._last_ts: dict[str, str] = {}
         self._acked = set(_read_lines(self._path(ACKED_LOG)))
+        self._read_log(LAST_TIMESTAMPS, self._load_last_timestamps)
         self._read_log(DEADLETTER_LOG, self._load_dead_letter)
         self._read_log(QUEUE_LOG, self._load_queued)
 
@@ -184,6 +224,14 @@ class UploadQueue:
                 load_entry(_decode_line(line))
             except (ValueError, DataError) as exc:
                 raise DataError(f"{name} line {lineno}: corrupt entry: {exc}") from None
+
+    def _load_last_timestamps(self, entry) -> None:
+        if not isinstance(entry, dict):
+            raise DataError(f"expected a JSON object, got {entry!r}")
+        for device, ts in entry.items():
+            if not device or not isinstance(ts, str) or not _TIMESTAMP_RE.fullmatch(ts):
+                raise DataError(f"bad last timestamp {ts!r} for device {device!r}")
+        self._last_ts.update(entry)
 
     def _load_dead_letter(self, entry) -> None:
         # each line holds the full wire record, so a dead letter outlives
@@ -208,17 +256,24 @@ class UploadQueue:
 
     @staticmethod
     def _append(fh, text: str) -> None:
-        fh.write(text.encode("utf-8") + b"\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+        _durable("write", _write, fh, text.encode("utf-8") + b"\n")
+        _durable("fsync", os.fsync, fh.fileno())
 
     def known_ids(self) -> set[str]:
+        """The reading_ids in queue.log: pending ones, and settled ones not
+        yet compacted away."""
         with self._lock:
             return set(self._ids)
 
     def enqueue(self, record: ReadingRecord) -> None:
-        """Durably persist a reading; returns only after the bytes are synced."""
+        """Durably persist a reading; returns only after the bytes are synced.
+
+        Compacts first once COMPACT_AT lines of queue.log are settled and no
+        other queue has the directory open.
+        """
         with self._lock:
+            if len(self._ids) - len(self._pending) >= COMPACT_AT:
+                self._compact_if_alone()
             if record.reading_id in self._ids:
                 raise DataError(f"reading_id {record.reading_id!r} already enqueued")
             prev = self._last_ts.get(record.device_id)
@@ -268,38 +323,75 @@ class UploadQueue:
         with self._lock:
             return len(self._acked)
 
-    def compact(self) -> None:
-        """Rewrite queue.log keeping only pending records; manual housekeeping.
+    def compact(self) -> bool:
+        """Rewrite queue.log keeping only pending records and empty acked.log,
+        as enqueue does at COMPACT_AT settled lines.
 
-        Never called by sync, so a sync run leaves queue.log byte-identical.
+        Returns False, changing nothing, while another queue has the
+        directory open. Never called by sync, so a sync run leaves queue.log
+        byte-identical.
         """
         with self._lock:
-            tmp = self._path(QUEUE_LOG + ".tmp")
-            with open(tmp, "wb") as fh:
-                for r in self._pending.values():
-                    fh.write(json.dumps(r.to_wire(), sort_keys=True).encode("utf-8") + b"\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._queue_fh.close()
-            os.replace(tmp, self._path(QUEUE_LOG))
-            # the rename must be durable before acked.log is emptied, or a
-            # power loss could bring back the old queue.log with no acks
-            dir_fd = os.open(self.directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-            self._queue_fh = open(self._path(QUEUE_LOG), "ab")
-            self._ids = set(self._pending)
-            with open(self._path(ACKED_LOG), "wb") as fh:
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._acked_fh.close()
-            self._acked_fh = open(self._path(ACKED_LOG), "ab")
-            self._acked = set()
+            return self._compact_if_alone()
+
+    def _compact_if_alone(self) -> bool:
+        # drop the shared flock before asking for the exclusive one: on Linux
+        # a failed conversion drops it anyway
+        fcntl.flock(self._flock_fh, fcntl.LOCK_UN)
+        try:
+            fcntl.flock(self._flock_fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            compacted = False
+        else:
+            # queues that had the directory open may have appended since
+            # this one loaded, so compact what the files hold
+            self._load()
+            self._compact()
+            compacted = True
+        finally:
+            fcntl.flock(self._flock_fh, fcntl.LOCK_SH)
+        # another queue may have compacted while this one held no flock
+        on_disk = os.stat(self._path(QUEUE_LOG))
+        held = os.fstat(self._queue_fh.fileno())
+        if (on_disk.st_dev, on_disk.st_ino) != (held.st_dev, held.st_ino):
+            self._load()
+            self._reopen_queue_log()
+        return compacted
+
+    def _compact(self) -> None:
+        # each device's last timestamp must outlive the records that carry
+        # it, so it is durable before they are dropped
+        self._replace(LAST_TIMESTAMPS, json.dumps(self._last_ts, sort_keys=True) + "\n")
+        # the rename is durable before acked.log is emptied, or a power loss
+        # could bring back the old queue.log with no acks
+        self._replace(QUEUE_LOG, "".join(json.dumps(r.to_wire(), sort_keys=True) + "\n"
+                                         for r in self._pending.values()))
+        self._reopen_queue_log()
+        self._ids = set(self._pending)
+        _durable("truncate", self._acked_fh.truncate, 0)
+        _durable("fsync", os.fsync, self._acked_fh.fileno())
+        self._acked = set()
+
+    def _replace(self, name: str, text: str) -> None:
+        """Atomically and durably replace a file by write, fsync and rename."""
+        tmp = self._path(name + ".tmp")
+        with open(tmp, "wb") as fh:
+            _durable("write", _write, fh, text.encode("utf-8"))
+            _durable("fsync", os.fsync, fh.fileno())
+        _durable("replace", os.replace, tmp, self._path(name))
+        dir_fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            _durable("fsync", os.fsync, dir_fd)
+        finally:
+            os.close(dir_fd)
+
+    def _reopen_queue_log(self) -> None:
+        self._queue_fh.close()
+        self._queue_fh = open(self._path(QUEUE_LOG), "ab")
 
     def close(self) -> None:
-        for fh in (self._queue_fh, self._acked_fh, self._dead_fh):
+        """Close the logs and release the flock."""
+        for fh in (self._queue_fh, self._acked_fh, self._dead_fh, self._flock_fh):
             try:
                 fh.close()
             except OSError:

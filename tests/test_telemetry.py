@@ -1,16 +1,23 @@
 """Durable queue semantics, retry policy, and sync against the mock endpoint."""
 
+import dataclasses
+import fcntl
 import http.client
 import json
 import os
+import shutil
 import stat
+import subprocess
+import sys
 import tempfile
+import time
 import urllib.request
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import glucokit
 from glucokit.data import GlucoseValue
 from glucokit.errors import DataError
 from glucokit.telemetry import (
@@ -22,7 +29,9 @@ from glucokit.telemetry import (
     sync,
 )
 from glucokit.telemetry import queue as queue_module
-from glucokit.telemetry.queue import ACKED_LOG, DEADLETTER_LOG, QUEUE_LOG, WIRE_FIELDS
+from glucokit.telemetry.queue import (
+    ACKED_LOG, COMPACT_AT, DEADLETTER_LOG, LAST_TIMESTAMPS, QUEUE_LOG, WIRE_FIELDS,
+)
 
 
 def record(i, device="dev-1", patient="p-1", minute=None):
@@ -36,8 +45,59 @@ def record(i, device="dev-1", patient="p-1", minute=None):
     )
 
 
+def timed_record(i, device="dev-1"):
+    """Reading i of a device, taken i minutes after midnight (i < 1440)."""
+    return ReadingRecord(
+        reading_id=f"r-{i:04d}",
+        patient_id="p-1",
+        timestamp_utc=f"2026-02-01T{i // 60:02d}:{i % 60:02d}:00Z",
+        glucose=GlucoseValue(100.0 + i, "capillary"),
+        model_tag="mpr3:capillary",
+        device_id=device,
+    )
+
+
 def no_sleep(_):
     pass
+
+
+def log_ids(d) -> list[str]:
+    return [json.loads(line)["reading_id"] for line in (d / QUEUE_LOG).read_text().splitlines()]
+
+
+# a python that imports this glucokit, for tests that need other processes
+SRC_DIR = os.path.dirname(os.path.dirname(glucokit.__file__))
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p))
+
+# holds the queue in argv[1] open until its stdin closes
+HOLD_OPEN = """
+import sys
+from glucokit.telemetry import UploadQueue
+with UploadQueue(sys.argv[1]):
+    print("open", flush=True)
+    sys.stdin.read()
+"""
+
+# enqueues readings 0..argv[3] of device argv[2], one open each, as
+# `predict --enqueue` does; the pauses between readings are when a queue can
+# have the directory alone and compact
+ENQUEUE_READINGS = """
+import sys
+import time
+from glucokit.data import GlucoseValue
+from glucokit.telemetry import ReadingRecord, UploadQueue
+qdir, device, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+for i in range(n):
+    with UploadQueue(qdir) as q:
+        q.enqueue(ReadingRecord(
+            reading_id=f"{device}-{i:04d}", patient_id="p-1",
+            timestamp_utc=f"2026-02-01T{i // 60:02d}:{i % 60:02d}:00Z",
+            glucose=GlucoseValue(100.0 + i, "capillary"),
+            model_tag="mpr3:capillary", device_id=device,
+        ))
+    time.sleep(0.005)
+"""
 
 
 def wire_line(i, **changes) -> str:
@@ -347,6 +407,244 @@ class TestQueueStateProperty:
                         assert reopened.pending() == want
             finally:
                 q.close()
+
+
+class TestCompaction:
+    def test_timestamp_guard_survives_compact_and_reopen(self, tmp_path):
+        d = tmp_path / "q"
+        with UploadQueue(d) as q:
+            q.enqueue(record(1, minute=30))
+            q.mark_acked("r-0001")
+            assert q.compact()
+        assert log_ids(d) == []
+        with UploadQueue(d) as q:
+            with pytest.raises(DataError, match="precedes"):
+                q.enqueue(record(2, minute=10))
+            q.enqueue(record(3, device="dev-2", minute=10))
+            q.enqueue(record(4, minute=30))
+
+    def test_corrupt_last_timestamps_is_an_error(self, tmp_path):
+        d = tmp_path / "q"
+        d.mkdir()
+        (d / LAST_TIMESTAMPS).write_text('{"dev-1": "yesterday"}\n')
+        with pytest.raises(DataError, match=f"^{LAST_TIMESTAMPS} line 1: corrupt entry: "):
+            UploadQueue(d)
+
+    def test_enqueue_compacts_a_bedside_log(self, tmp_path, endpoint):
+        # one open per reading and per sync, a sync every 12 readings
+        d = tmp_path / "q"
+        longest = 0
+        for i in range(300):
+            with UploadQueue(d) as q:
+                q.enqueue(timed_record(i))
+            longest = max(longest, len(log_ids(d)))
+            if (i + 1) % 12 == 0:
+                with UploadQueue(d) as q:
+                    stats = sync(q, endpoint.url, sleep_fn=no_sleep)
+                assert stats == SyncStats(uploaded=12, dead_lettered=0, remaining=0, attempts=12)
+        assert COMPACT_AT < longest <= COMPACT_AT + 12
+        assert len(log_ids(d)) < COMPACT_AT
+        # every reading stored, none sent twice
+        assert endpoint.snapshot()["ids"] == [f"r-{i:04d}" for i in range(300)]
+        assert endpoint.request_count == 300
+        with UploadQueue(d) as q:
+            assert q.pending() == [] and q.acked_count() < COMPACT_AT + 12
+            with pytest.raises(DataError, match="precedes"):
+                q.enqueue(dataclasses.replace(timed_record(0), reading_id="r-late"))
+
+    def test_settled_lines_are_kept_while_another_process_has_the_queue(self, tmp_path):
+        d = tmp_path / "q"
+        UploadQueue(d).close()
+        with subprocess.Popen([sys.executable, "-c", HOLD_OPEN, str(d)], env=CHILD_ENV,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as holder:
+            try:
+                assert holder.stdout.readline() == "open\n"
+                with UploadQueue(d) as q:
+                    for i in range(COMPACT_AT + 10):
+                        q.enqueue(timed_record(i))
+                        q.mark_acked(f"r-{i:04d}")
+                    assert not q.compact()
+                assert len(log_ids(d)) == COMPACT_AT + 10
+            finally:
+                holder.stdin.close()
+                assert holder.wait(timeout=30) == 0
+        with UploadQueue(d) as q:
+            q.enqueue(timed_record(COMPACT_AT + 10))
+            assert q.acked_count() == 0
+        assert log_ids(d) == [f"r-{COMPACT_AT + 10:04d}"]
+
+    def test_a_second_queue_in_the_process_blocks_compaction(self, tmp_path):
+        d = tmp_path / "q"
+        with UploadQueue(d) as q, UploadQueue(d) as other:
+            q.enqueue(record(1))
+            q.mark_acked("r-0001")
+            assert not q.compact() and not other.compact()
+            assert q.acked_count() == 1 and log_ids(d) == ["r-0001"]
+        with UploadQueue(d) as q:
+            assert q.compact()
+
+    def test_enqueue_after_another_queue_compacted_reaches_the_new_log(self, tmp_path,
+                                                                       monkeypatch):
+        d = tmp_path / "q"
+        with UploadQueue(d) as q:
+            for i in range(COMPACT_AT):
+                q.enqueue(timed_record(i))
+                q.mark_acked(f"r-{i:04d}")
+        a, b = UploadQueue(d), UploadQueue(d)
+        real_flock, calls = fcntl.flock, []
+
+        def flock(fh, op):
+            # a's exclusive try failed because b had the queue open; before a
+            # takes its shared flock back, b closes and a third queue compacts
+            if op == fcntl.LOCK_SH and calls and calls[-1] == "busy":
+                calls.append("intrude")
+                b.close()
+                with UploadQueue(d) as c:
+                    assert c.compact()
+            try:
+                real_flock(fh, op)
+            except BlockingIOError:
+                calls.append("busy")
+                raise
+
+        monkeypatch.setattr(queue_module.fcntl, "flock", flock)
+        try:
+            a.enqueue(timed_record(COMPACT_AT))
+        finally:
+            a.close()
+            b.close()
+        assert "intrude" in calls
+        assert log_ids(d) == [f"r-{COMPACT_AT:04d}"]
+
+
+class TestQueueProcesses:
+    def test_concurrent_enqueuers_and_syncer_lose_nothing(self, tmp_path, endpoint):
+        # each writer passes COMPACT_AT readings on its own, so compaction
+        # races the other writers' appends and the syncer's acks
+        d = tmp_path / "q"
+        UploadQueue(d).close()
+        devices, per_device = [f"dev-{k}" for k in range(4)], COMPACT_AT + 16
+        writers = [subprocess.Popen([sys.executable, "-c", ENQUEUE_READINGS, str(d),
+                                     device, str(per_device)], env=CHILD_ENV)
+                   for device in devices]
+        try:
+            deadline = time.monotonic() + 60.0
+            while any(w.poll() is None for w in writers) and time.monotonic() < deadline:
+                with UploadQueue(d) as q:
+                    sync(q, endpoint.url, sleep_fn=no_sleep)
+                time.sleep(0.01)
+        finally:
+            for w in writers:
+                if w.poll() is None:
+                    w.kill()
+                w.wait(timeout=30)
+        assert [w.returncode for w in writers] == [0] * len(writers)
+        with UploadQueue(d) as q:
+            assert sync(q, endpoint.url, sleep_fn=no_sleep).drained()
+        want = {f"{device}-{i:04d}" for device in devices for i in range(per_device)}
+        snap = endpoint.snapshot()
+        assert snap["count"] == len(want) and set(snap["ids"]) == want
+        assert endpoint.request_count == len(want)  # nothing sent twice
+        assert (d / LAST_TIMESTAMPS).exists()  # written by compaction only
+        with UploadQueue(d) as q:
+            assert q.pending() == []
+            assert q.known_ids() <= want
+
+
+class Crash(Exception):
+    """Stands in for the process dying at a durability operation."""
+
+
+class TestCrashPoints:
+    """Crash at the k-th write, fsync, replace or truncate, for every k, over
+    a script of enqueues, acks, dead letters and one automatic compaction;
+    then reopen and drain. The crash is of the process, not of the machine:
+    bytes written before it stay written."""
+
+    # run before the crash is armed: 63 settled lines, 3 pending readings;
+    # reading OTHER is dev-2's only one, so compaction drops its timestamp
+    SETTLED, DEAD, PENDING, OTHER = 60, 3, 3, 59
+    # the second enqueue sees 65 settled lines and compacts first
+    SCRIPT = [("enqueue", 66), ("ack", 63), ("dead", 64), ("enqueue", 67),
+              ("ack", 66), ("enqueue", 68), ("dead", 67), ("ack", 65)]
+
+    def prepare(self, d):
+        n = self.SETTLED + self.DEAD + self.PENDING
+        with UploadQueue(d) as q:
+            for i in range(n):
+                q.enqueue(timed_record(i, "dev-2" if i == self.OTHER else "dev-1"))
+            for i in range(self.SETTLED):
+                q.mark_acked(f"r-{i:04d}")
+            for i in range(self.SETTLED, self.SETTLED + self.DEAD):
+                q.mark_dead(timed_record(i), "HTTP 400: bad")
+        enqueued = {f"r-{i:04d}" for i in range(n)}
+        acked = {f"r-{i:04d}" for i in range(self.SETTLED)}
+        dead = {f"r-{i:04d}" for i in range(self.SETTLED, self.SETTLED + self.DEAD)}
+        return enqueued, acked, dead
+
+    def run_script(self, d, monkeypatch, crash_at):
+        """Returns the durability ops done, the ids whose enqueue, ack or
+        dead letter returned, and the step the crash cut short (None if
+        the script finished)."""
+        ops, done = [], {"enqueue": set(), "ack": set(), "dead": set()}
+        real = queue_module._durable
+
+        def durable(op, fn, *args):
+            if len(ops) == crash_at:
+                raise Crash(op)
+            ops.append(op)
+            return real(op, fn, *args)
+
+        q = UploadQueue(d)
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(queue_module, "_durable", durable)
+                for step, i in self.SCRIPT:
+                    try:
+                        if step == "enqueue":
+                            q.enqueue(timed_record(i))
+                        elif step == "ack":
+                            q.mark_acked(f"r-{i:04d}")
+                        else:
+                            q.mark_dead(timed_record(i), "HTTP 400: bad")
+                    except Crash:
+                        return ops, done, (step, f"r-{i:04d}")
+                    done[step].add(f"r-{i:04d}")
+        finally:
+            q.close()
+        return ops, done, None
+
+    def test_every_crash_point_recovers(self, tmp_path, monkeypatch, endpoint):
+        base = tmp_path / "base"
+        enqueued, acked, dead = self.prepare(base)
+        k = 0
+        while True:
+            d = tmp_path / f"crash-{k:03d}"
+            shutil.copytree(base, d)
+            ops, done, cut = self.run_script(d, monkeypatch, crash_at=k)
+            all_enqueued, all_acked = enqueued | done["enqueue"], acked | done["ack"]
+            # an ack cut short may or may not have landed
+            maybe_acked = all_acked | {cut[1]} if cut and cut[0] == "ack" else all_acked
+            with UploadQueue(d) as q:
+                pending = [r.reading_id for r in q.pending()]
+                dead_now = {r.reading_id for r, _ in q.dead_letters()}
+                assert all_acked.isdisjoint(pending), k
+                assert dead | done["dead"] <= dead_now, k
+                assert all_enqueued <= set(pending) | maybe_acked | dead_now, k
+                for device in ("dev-1", "dev-2"):
+                    with pytest.raises(DataError, match="precedes"):
+                        q.enqueue(dataclasses.replace(timed_record(0, device),
+                                                      reading_id=f"r-late-{device}"))
+                endpoint.reset()
+                assert sync(q, endpoint.url, sleep_fn=no_sleep).drained(), k
+                assert endpoint.snapshot()["ids"] == pending, k
+                assert endpoint.request_count == len(pending), k
+            if cut is None:
+                break  # the script made fewer than k + 1 operations
+            k += 1
+        # the script made every kind of operation, compaction included
+        assert {"write", "fsync", "replace", "truncate"} <= set(ops)
+        assert k == len(ops) and log_ids(d) == ["r-0065", "r-0066", "r-0067", "r-0068"]
 
 
 class TestRetryPolicy:
