@@ -189,13 +189,6 @@ _FAMILY_FLAGS = {
 }
 
 
-def _fit_and_report(spec: str, train: Dataset, kind: str, seed: int,
-                    created: str | None, options: dict):
-    tm = fit_model(spec, train, kind, seed=seed, created_utc=created, **options)
-    p = paired_readings(tm, train, kind)
-    return tm, metrics_report(p)
-
-
 def cmd_calibrate(args, config: dict) -> int:
     if args.train is None:
         raise UsageError("--train is required")
@@ -217,25 +210,26 @@ def cmd_calibrate(args, config: dict) -> int:
             raise UsageError(f"--{flag.replace('_', '-')} only applies to {taker}")
         options[option] = value
 
-    depths = options.pop("hidden_layers", None)
-    if depths is not None and len(depths) > 1:
+    # a single fit is a sweep of one, which prints no table
+    depths = options.pop("hidden_layers", [None])
+    sweep = len(depths) > 1
+    if sweep:
         print(f"hidden-layer sweep on {len(train)} samples ({used} split), "
               f"kind {kind}, seed {seed}")
         print(f"{'depth':>5}  {'train mARD %':>12}  {'train RMSE mg/dl':>16}")
-        best = None
-        for h in depths:
-            tm, rep = _fit_and_report(spec, train, kind, seed, args.timestamp,
-                                      dict(options, hidden_layers=h))
+    best = None
+    for h in depths:
+        depth = {} if h is None else {"hidden_layers": h}
+        tm = fit_model(spec, train, kind, seed=seed, created_utc=args.timestamp,
+                       **options, **depth)
+        rep = metrics_report(paired_readings(tm, train, kind))
+        if sweep:
             print(f"{h:>5}  {rep.mard_pct:>12.4f}  {rep.rmse_mgdl:>16.4f}")
-            if best is None or rep.rmse_mgdl < best[1].rmse_mgdl:
-                best = (tm, rep, h)
-        assert best is not None
-        tm, rep, h = best
+        if best is None or rep.rmse_mgdl < best[1].rmse_mgdl:
+            best = (tm, rep, h)
+    tm, rep, h = best
+    if sweep:
         print(f"best depth {h} by train RMSE")
-    else:
-        if depths is not None:
-            options["hidden_layers"] = depths[0]
-        tm, rep = _fit_and_report(spec, train, kind, seed, args.timestamp, options)
 
     print(f"fit {tm.tag} on {rep.n} samples ({used} split): "
           f"mARD {rep.mard_pct:.4f} %  RMSE {rep.rmse_mgdl:.4f} mg/dl  "

@@ -20,6 +20,7 @@ from ..errors import DataError, SolverError
 from .base import FamilyModel, Prediction, Standardizer, design_arrays, usable_samples
 
 LAMBDA_LIMIT = 1e10
+LAMBDA_STEP = 10.0
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -35,15 +36,13 @@ class DnnTrainConfig:
     width: int = 10
     seed: int = 0
     lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 10.0
     max_iters: int = 1000
     sse_tol: float = 1e-10
 
     def __post_init__(self):
         if self.hidden_layers < 1 or self.width < 1:
             raise DataError("hidden_layers and width must be >= 1")
-        for name in ("lambda0", "lambda_up", "lambda_down", "sse_tol"):
+        for name in ("lambda0", "sse_tol"):
             if getattr(self, name) <= 0:
                 raise DataError(f"{name} must be > 0")
         if self.max_iters < 1:
@@ -231,7 +230,7 @@ def levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray,
                 else:
                     delta = np.linalg.solve(damped, g)
             except np.linalg.LinAlgError:
-                lam *= cfg.lambda_up
+                lam *= LAMBDA_STEP
                 continue
             solve_failed = False
             theta_new = theta - delta
@@ -243,10 +242,10 @@ def levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray,
                 improvement = sse - sse_new
                 theta, r, sse = theta_new, r_new, sse_new
                 path.append(sse)
-                lam = max(lam / cfg.lambda_down, 1e-300)  # keep lam > 0 for the dual solve
+                lam = max(lam / LAMBDA_STEP, 1e-300)  # keep lam > 0 for the dual solve
                 accepted = True
                 break
-            lam *= cfg.lambda_up
+            lam *= LAMBDA_STEP
         if not accepted:
             if solve_failed:
                 raise SolverError(

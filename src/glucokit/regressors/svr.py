@@ -50,17 +50,13 @@ class KernelSpec:
             raise DataError(f"{self.kind} kernel takes no scale parameter")
 
     @classmethod
-    def gaussian(cls, flavor: str, n_predictors: int = N_PREDICTORS) -> "KernelSpec":
+    def gaussian(cls, flavor: str) -> "KernelSpec":
         """Named Gaussian scales: medium sqrt(P), fine sqrt(P)/4, coarse 4*sqrt(P)."""
-        root = math.sqrt(n_predictors)
+        root = math.sqrt(N_PREDICTORS)
         scales = {"medium": root, "fine": root / 4.0, "coarse": 4.0 * root}
         if flavor not in scales:
             raise DataError(f"gaussian flavor must be one of {sorted(scales)}, got {flavor!r}")
         return cls("gaussian", scales[flavor])
-
-    @property
-    def degree(self) -> int | None:
-        return {"linear": 1, "quadratic": 2, "cubic": 3}.get(self.kind)
 
 
 def kernel_eval(k: KernelSpec, u, v) -> float:
@@ -131,13 +127,12 @@ class SvrModel(FamilyModel):
         object.__setattr__(self, "_beta", beta)
         object.__setattr__(self, "_inputs", inputs)
 
-    def support_count(self, tol: float = 1e-9) -> int:
-        return int((np.abs(self._beta) > tol).sum())
+    def support_count(self) -> int:
+        return int((np.abs(self._beta) > 1e-9).sum())
 
     @classmethod
     def fit(cls, Xs: np.ndarray, ys: np.ndarray, seed: int = 0, *, kernel: KernelSpec,
-            eps: float | None = None, c: float | None = None,
-            tol: float = KKT_TOL, max_iters: int = MAX_SMO_ITERS) -> tuple[dict, dict]:
+            eps: float | None = None, c: float | None = None) -> tuple[dict, dict]:
         """Solve the dual on standardized data; eps/C default from the iqr."""
         eps_def, c_def = default_hyperparams(ys)
         eps = eps_def if eps is None else float(eps)
@@ -148,8 +143,8 @@ class SvrModel(FamilyModel):
             raise DataError(f"C must be > 0, got {c}")
         K = kernel_matrix(kernel, Xs)
         _check_psd(K)
-        beta, bias, _ = _solve_smo(K, ys, eps, c, tol, max_iters)
-        _check_kkt(beta, K @ beta, bias, ys, eps, c, tol)
+        beta, bias, _ = _solve_smo(K, ys, eps, c, KKT_TOL, MAX_SMO_ITERS)
+        _check_kkt(beta, K @ beta, bias, ys, eps, c, KKT_TOL)
         fitted = {
             "kernel": kernel,
             "beta": tuple(float(b) for b in beta),
@@ -277,11 +272,9 @@ def _check_kkt(beta: np.ndarray, h: np.ndarray, bias: float, y: np.ndarray,
 
 
 def fit_svr(train: Dataset, kind: str, kernel: KernelSpec,
-            eps: float | None = None, c: float | None = None, *,
-            tol: float = KKT_TOL, max_iters: int = MAX_SMO_ITERS) -> SvrModel:
+            eps: float | None = None, c: float | None = None) -> SvrModel:
     """Fit an SVR model; eps/C default to iqr-derived values when omitted."""
-    return SvrModel.fit_dataset(train, kind, kernel=kernel, eps=eps, c=c,
-                                tol=tol, max_iters=max_iters)[0]
+    return SvrModel.fit_dataset(train, kind, kernel=kernel, eps=eps, c=c)[0]
 
 
 def svr_decision(m: SvrModel, z: np.ndarray) -> float:

@@ -71,10 +71,9 @@ class _Canvas:
             f'<rect x="{x0:.1f}" y="{y1:.1f}" width="{x1 - x0:.1f}" '
             f'height="{y0 - y1:.1f}" fill="none" stroke="black"/>'
         )
-        n_ticks = 4 if ticks else 0
-        for k in range(n_ticks + 1) if ticks else ():
-            vx = self.xmax * k / n_ticks
-            vy = self.ymax * k / n_ticks
+        for k in range(5 if ticks else 0):
+            vx = self.xmax * k / 4
+            vy = self.ymax * k / 4
             self.parts.append(
                 f'<text x="{self.px(vx):.1f}" y="{y0 + 18:.1f}" text-anchor="middle" '
                 f'font-size="11" font-family="sans-serif">{vx:g}</text>'
@@ -93,13 +92,12 @@ class _Canvas:
             f'{escape(ylabel)}</text>'
         )
 
-    def line(self, x1, y1, x2, y2, color="black", dash: str | None = None,
-             width: float = 1.0) -> None:
+    def line(self, x1, y1, x2, y2, color="black", dash: str | None = None) -> None:
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<line x1="{self.px(x1):.1f}" y1="{self.py(y1):.1f}" '
             f'x2="{self.px(x2):.1f}" y2="{self.py(y2):.1f}" '
-            f'stroke="{color}" stroke-width="{width}"{d}/>'
+            f'stroke="{color}" stroke-width="1.0"{d}/>'
         )
 
     def point(self, x, y, color="#1f6fb2") -> None:
@@ -114,11 +112,11 @@ class _Canvas:
             f'font-size="{size}" font-family="sans-serif" fill="{color}">{escape(text)}</text>'
         )
 
-    def bar(self, x, y, w, h, color="#1f6fb2") -> None:
+    def bar(self, x, y, w, h) -> None:
         self.parts.append(
             f'<rect class="bar" x="{self.px(x):.1f}" y="{self.py(y + h):.1f}" '
             f'width="{self.px(x + w) - self.px(x):.1f}" '
-            f'height="{self.py(y) - self.py(y + h):.1f}" fill="{color}"/>'
+            f'height="{self.py(y) - self.py(y + h):.1f}" fill="#1f6fb2"/>'
         )
 
     def render(self) -> str:

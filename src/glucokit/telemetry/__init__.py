@@ -1,7 +1,7 @@
 """Offline-tolerant reading uploads: durable queue, retrying sync, mock endpoint."""
 
 from .client import RetryPolicy, SyncStats, sync
-from .mockserver import MockEndpoint, mock_endpoint
+from .mockserver import MockEndpoint
 from .queue import (
     ACKED_LOG,
     DEADLETTER_LOG,
@@ -14,5 +14,5 @@ from .queue import (
 __all__ = [
     "ACKED_LOG", "DEADLETTER_LOG", "QUEUE_LOG", "WIRE_FIELDS",
     "MockEndpoint", "ReadingRecord", "RetryPolicy", "SyncStats",
-    "UploadQueue", "mock_endpoint", "sync",
+    "UploadQueue", "sync",
 ]

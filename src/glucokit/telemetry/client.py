@@ -120,8 +120,7 @@ def sync(queue: UploadQueue, endpoint: str, retry: RetryPolicy | None = None, *,
     uploaded = dead = attempts_total = 0
     records = queue.pending()
     try:
-        for idx, record in enumerate(records):
-            done = False
+        for record in records:
             for attempt in range(retry.max_attempts):
                 attempts_total += 1
                 try:
@@ -129,7 +128,6 @@ def sync(queue: UploadQueue, endpoint: str, retry: RetryPolicy | None = None, *,
                 except NetworkError as exc:
                     queue.mark_dead(record, str(exc))
                     dead += 1
-                    done = True
                     break
                 except _Transient:
                     if attempt + 1 < retry.max_attempts:
@@ -137,16 +135,11 @@ def sync(queue: UploadQueue, endpoint: str, retry: RetryPolicy | None = None, *,
                     continue
                 queue.mark_acked(record.reading_id)
                 uploaded += 1
-                done = True
                 break
-            if not done:
-                return SyncStats(
-                    uploaded=uploaded,
-                    dead_lettered=dead,
-                    remaining=len(records) - idx,
-                    attempts=attempts_total,
-                )
+            else:
+                break  # attempts exhausted: the endpoint is presumed down
     finally:
         conn.close()
-    return SyncStats(uploaded=uploaded, dead_lettered=dead, remaining=0,
-                     attempts=attempts_total)
+    # every record before the one that stopped the run was acked or dead-lettered
+    return SyncStats(uploaded=uploaded, dead_lettered=dead,
+                     remaining=len(records) - uploaded - dead, attempts=attempts_total)

@@ -13,8 +13,8 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..errors import NetworkError
-from .queue import WIRE_FIELDS
+from ..errors import DataError, NetworkError
+from .queue import ReadingRecord
 
 _CONTROL_COUNTERS = ("fail_next", "reject_next", "drop_next")
 
@@ -99,11 +99,6 @@ class MockEndpoint:
             self.request_count = 0
 
 
-def mock_endpoint(port: int = 0) -> MockEndpoint:
-    """Bind and start a mock endpoint; caller owns stop()."""
-    return MockEndpoint(port).start()
-
-
 def _make_handler(owner: MockEndpoint):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -176,14 +171,10 @@ def _make_handler(owner: MockEndpoint):
                 return self._drop()
             if body is None:
                 return self._reply(400, {"error": "body is not valid JSON"})
-            extra = set(body) - set(WIRE_FIELDS)
-            missing = set(WIRE_FIELDS) - set(body)
-            if extra or missing:
-                return self._reply(400, {
-                    "error": f"bad fields: extra {sorted(extra)}, missing {sorted(missing)}"
-                })
-            if not isinstance(body["glucose_mgdl"], (int, float)) or body["glucose_mgdl"] <= 0:
-                return self._reply(400, {"error": "glucose_mgdl must be a positive number"})
+            try:
+                ReadingRecord.from_wire(body)
+            except DataError as exc:
+                return self._reply(400, {"error": str(exc)})
             _, rid = owner.accept(body)
             self._reply(200, {"ack": rid})
 
