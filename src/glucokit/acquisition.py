@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar, get_origin, get_type_hints
 
 import numpy as np
 
@@ -23,9 +24,60 @@ GLUCOSE_MIN_MGDL = 40.0
 GLUCOSE_MAX_MGDL = 420.0
 
 
+def _json_int(v) -> int:
+    # bool is an int subclass, but a JSON true is not a number
+    if type(v) is not int:
+        raise TypeError(v)
+    return v
+
+
+def _json_number(v) -> float:
+    if type(v) is not int and type(v) is not float:
+        raise TypeError(v)
+    return float(v)  # OverflowError for an int beyond float range
+
+
+def _json_numbers(v) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise TypeError(v)
+    return tuple(map(_json_number, v))
+
+
+# a config field's type -> the reader of its JSON value, and what that wants
+_FIELD_READERS = {int: (_json_int, "an integer"), float: (_json_number, "a number"),
+                  tuple: (_json_numbers, "an array of numbers")}
+
+
+class _ConfigSection:
+    """from_dict for a config dataclass: one JSON object per section, each
+    key a field, each value of its field's type."""
+
+    section: ClassVar[str]
+
+    @classmethod
+    def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise DataError(f"{cls.section} config must be a JSON object, got {d!r}")
+        bad = set(d) - {f.name for f in fields(cls)}
+        if bad:
+            raise DataError(f"unknown {cls.section} config keys: {sorted(bad)}")
+        hints = get_type_hints(cls)
+        values = {}
+        for key, v in d.items():
+            read, wants = _FIELD_READERS[get_origin(hints[key]) or hints[key]]
+            try:
+                values[key] = read(v)
+            except (TypeError, OverflowError):
+                raise DataError(f"{cls.section} config {key}: wants {wants}, "
+                                f"got {v!r}") from None
+        return cls(**values)
+
+
 @dataclass(frozen=True)
-class AdcConfig:
+class AdcConfig(_ConfigSection):
     """Analog-to-digital converter geometry."""
+
+    section: ClassVar[str] = "adc"
 
     bits: int = 16
     sample_rate_hz: float = 128.0
@@ -47,23 +99,17 @@ class AdcConfig:
     def max_code(self) -> int:
         return (1 << self.bits) - 1
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdcConfig":
-        known = {"bits", "sample_rate_hz", "fsr_mv"}
-        bad = set(d) - known
-        if bad:
-            raise DataError(f"unknown adc config keys: {sorted(bad)}")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class ForwardModelConfig:
+class ForwardModelConfig(_ConfigSection):
     """Parameters of the optical transfer model v_i = b_i * exp(-k_i * g).
 
     Baselines are the zero-glucose detector voltages; k is the per-channel
     attenuation per mg/dl. Defaults keep voltages within roughly
     [1500, 2900] mV over glucose 40..420, well inside a 5000 mV FSR.
     """
+
+    section: ClassVar[str] = "forward model"
 
     baselines_mv: tuple[float, float, float] = (3000.0, 2600.0, 2200.0)
     k_per_mgdl: tuple[float, float, float] = (0.0016, 0.0011, 0.0007)
@@ -81,6 +127,8 @@ class ForwardModelConfig:
                 raise DataError(f"attenuation k must be finite and > 0, got {k!r}")
         if not (math.isfinite(self.noise_sd_mv) and self.noise_sd_mv >= 0):
             raise DataError(f"noise_sd_mv must be >= 0, got {self.noise_sd_mv!r}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
     def mean_voltages(self, glucose_mgdl: float) -> np.ndarray:
         b = np.asarray(self.baselines_mv)
@@ -95,18 +143,6 @@ class ForwardModelConfig:
                 raise DataError(
                     f"forward model drives voltage out of ADC range at {g} mg/dl: {v}"
                 )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForwardModelConfig":
-        known = {"baselines_mv", "k_per_mgdl", "noise_sd_mv", "seed"}
-        bad = set(d) - known
-        if bad:
-            raise DataError(f"unknown forward model config keys: {sorted(bad)}")
-        d = dict(d)
-        for key in ("baselines_mv", "k_per_mgdl"):
-            if key in d:
-                d[key] = tuple(float(x) for x in d[key])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -255,7 +291,7 @@ def load_configs(path) -> tuple[ForwardModelConfig, AdcConfig]:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: config document must be a JSON object")

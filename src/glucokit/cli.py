@@ -106,15 +106,25 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _finite(text: str) -> float:
+    """The type= parser of every float flag: one finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"wants a finite number, got {text!r}")
+    return value
+
+
 def _numbers(count: int, sep: str):
     """A type= parser for `count` finite numbers joined by sep, e.g. 60:340."""
     def parse(text: str) -> tuple[float, ...]:
-        parts = text.split(sep)
         try:
-            values = tuple(float(p) for p in parts)
-        except ValueError:
+            values = tuple(map(_finite, text.split(sep)))
+        except argparse.ArgumentTypeError:
             values = ()
-        if len(values) == count and all(map(math.isfinite, values)):
+        if len(values) == count:
             return values
         raise argparse.ArgumentTypeError(
             f"wants {count} finite numbers joined by {sep!r}, got {text!r}")
@@ -441,10 +451,10 @@ def build_parser() -> _Parser:
     s.add_argument("--out", help="output CSV path")
     s.add_argument("--range", type=_numbers(2, ":"), default="60:340", metavar="LO:HI",
                    help="glucose range in mg/dl (default 60:340)")
-    s.add_argument("--noise-sd", type=float, help="channel noise sd in mV (default 6)")
+    s.add_argument("--noise-sd", type=_finite, help="channel noise sd in mV (default 6)")
     s.add_argument("--n-raw", type=int, default=1024,
                    help="raw samples averaged per channel (default 1024)")
-    s.add_argument("--serum-delta", type=float, default=0.05,
+    s.add_argument("--serum-delta", type=_finite, default=0.05,
                    help="serum = capillary*(1-delta); default 0.05")
     s.add_argument("--no-serum", action="store_true",
                    help="emit capillary references only")
@@ -467,14 +477,14 @@ def build_parser() -> _Parser:
     # the stored value is the option itself: intercept=False
     c.add_argument("--no-intercept", action="store_const", const=False,
                    help="mpr3: drop the fitted intercept")
-    c.add_argument("--svr-eps", type=float, help="svr: tube half-width")
-    c.add_argument("--svr-c", type=float, help="svr: box constraint")
+    c.add_argument("--svr-eps", type=_finite, help="svr: tube half-width")
+    c.add_argument("--svr-c", type=_finite, help="svr: box constraint")
     c.add_argument("--hidden-layers", type=_parse_depths, metavar="N|A..B",
                    help="dnn: depth, or an inclusive sweep like 1..10")
     c.add_argument("--width", type=int, help="dnn: neurons per layer")
     c.add_argument("--max-iters", type=int)
-    c.add_argument("--sse-tol", type=float)
-    c.add_argument("--lambda0", type=float)
+    c.add_argument("--sse-tol", type=_finite)
+    c.add_argument("--lambda0", type=_finite)
     c.set_defaults(func=cmd_calibrate)
 
     v = sub.add_parser("validate", parents=[common],
@@ -491,10 +501,10 @@ def build_parser() -> _Parser:
     q = sub.add_parser("predict", parents=[common],
                        help="predict glucose from three channel voltages")
     q.add_argument("--model", help="model JSON path")
-    q.add_argument("--v1", type=float, help="channel 1, mV")
-    q.add_argument("--v2", type=float, help="channel 2, mV")
-    q.add_argument("--v3", type=float, help="channel 3, mV")
-    q.add_argument("--fsr", type=float, default=5000.0,
+    q.add_argument("--v1", type=_finite, help="channel 1, mV")
+    q.add_argument("--v2", type=_finite, help="channel 2, mV")
+    q.add_argument("--v3", type=_finite, help="channel 3, mV")
+    q.add_argument("--fsr", type=_finite, default=5000.0,
                    help="ADC full-scale range in mV (default 5000)")
     q.add_argument("--json", action="store_true",
                    help="print a JSON object instead of text")
@@ -512,10 +522,10 @@ def build_parser() -> _Parser:
     y.add_argument("--endpoint",
                    help="ingest base URL; records POST to {endpoint}/v1/readings")
     y.add_argument("--max-attempts", type=int, default=6)
-    y.add_argument("--base-delay", type=float, default=0.1)
-    y.add_argument("--max-delay", type=float, default=2.0)
-    y.add_argument("--jitter", type=float, default=0.1)
-    y.add_argument("--timeout", type=float, default=10.0)
+    y.add_argument("--base-delay", type=_finite, default=0.1)
+    y.add_argument("--max-delay", type=_finite, default=2.0)
+    y.add_argument("--jitter", type=_finite, default=0.1)
+    y.add_argument("--timeout", type=_finite, default=10.0)
     y.add_argument("--seed", type=int, default=0, help="retry jitter seed")
     y.set_defaults(func=cmd_sync)
 

@@ -120,7 +120,7 @@ class SvrModel(FamilyModel):
         inputs = np.fromiter(chain.from_iterable(self.train_inputs), dtype=float,
                              count=N_PREDICTORS * n).reshape(n, N_PREDICTORS)
         finite = np.isfinite(beta).all() and np.isfinite(inputs).all()
-        if not (finite and math.isfinite(self.bias)):
+        if not (finite and all(map(math.isfinite, (self.bias, self.eps, self.c)))):
             raise DataError("svr model has non-finite parameters")
         if (np.abs(beta) > self.c * (1 + 1e-9)).any():
             raise DataError("dual coefficient exceeds box constraint C")

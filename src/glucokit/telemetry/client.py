@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import re
 import time
 import urllib.parse
@@ -29,7 +30,7 @@ class RetryPolicy:
     max_attempts: int = 6
 
     def __post_init__(self):
-        if self.base_delay <= 0 or self.max_delay < self.base_delay:
+        if not 0 < self.base_delay <= self.max_delay:  # false for a NaN too
             raise DataError("need 0 < base_delay <= max_delay")
         if not 0 <= self.jitter <= 1:
             raise DataError("jitter must be in [0, 1]")
@@ -63,6 +64,8 @@ def _connection(endpoint: str, timeout: float) -> tuple[http.client.HTTPConnecti
     attempt. A path prefix is kept: http://h:p/ingest posts to
     /ingest/v1/readings.
     """
+    if not 0 < timeout < math.inf:
+        raise DataError(f"timeout must be a finite number of seconds > 0, got {timeout!r}")
     try:
         parts = urllib.parse.urlsplit(endpoint)
         if parts.scheme not in ("http", "https") or not parts.hostname:

@@ -2,8 +2,10 @@
 
 Serves the real wire protocol (POST /v1/readings) plus a /control surface for
 tests: fail-next (503s), reject-next (400s), drop-next (connection cut with no
-response), latency (per-request delay), store inspection, and reset. Runs a
-ThreadingHTTPServer on localhost in a daemon thread.
+response), latency (per-request delay), store inspection, and reset. A reading
+is checked by ReadingRecord.from_wire, the upload queue's own rule, and one it
+refuses gets a 400 with its message. Runs a ThreadingHTTPServer on localhost
+in a daemon thread.
 """
 
 from __future__ import annotations

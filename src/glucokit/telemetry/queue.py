@@ -13,8 +13,12 @@ Directory layout:
 A record is pending iff it appears in queue.log and its id is in neither
 acked.log nor deadletter.log. Every append is flushed and fsynced before the
 call returns, so an enqueue or ack that returned survives a crash. A torn
-final line (no trailing newline) is ignored on open; a malformed line that
-is not the final one means real corruption and is an error.
+final line (no trailing newline, left by a crash mid-append) is ignored on
+open; a malformed line that is not the final one means real corruption and
+is an error. Before appending to a log that ends in a torn line, a queue cuts
+the fragment, or the new line would join it; it does so only when no other
+queue has the directory open (see below), and otherwise refuses the append
+with a DataError, changing no file. An open alone never rewrites a log.
 
 An open decodes and validates every complete line of all three logs, but
 builds a ReadingRecord only for the pending records of queue.log (plus one
@@ -168,6 +172,12 @@ class ReadingRecord:
         )
 
 
+def _torn_tail(fh) -> bool:
+    """Whether the log ends in a line without its newline."""
+    size = os.fstat(fh.fileno()).st_size
+    return size > 0 and os.pread(fh.fileno(), 1, size - 1) != b"\n"
+
+
 def _read_lines(path) -> list[str]:
     """Complete lines of a log file; a torn final line is dropped."""
     if not os.path.exists(path):
@@ -201,9 +211,9 @@ class UploadQueue:
         except BaseException:
             self._flock_fh.close()
             raise
-        self._queue_fh = open(self._path(QUEUE_LOG), "ab")
-        self._acked_fh = open(self._path(ACKED_LOG), "ab")
-        self._dead_fh = open(self._path(DEADLETTER_LOG), "ab")
+        # readable too, so an append can check the last byte
+        self._logs = {name: open(self._path(name), "a+b")
+                      for name in (QUEUE_LOG, ACKED_LOG, DEADLETTER_LOG)}
 
     def _path(self, name: str) -> str:
         return os.path.join(self.directory, name)
@@ -254,10 +264,22 @@ class UploadQueue:
         if prev is None or ts >= prev:
             self._last_ts[device] = ts
 
-    @staticmethod
-    def _append(fh, text: str) -> None:
+    def _append(self, name: str, text: str) -> None:
+        if _torn_tail(self._logs[name]):
+            self._if_alone(lambda: self._cut_torn_tail(name))
+            # still torn: another queue has the directory open, or another
+            # queue's append was mid-write when this one looked
+            if _torn_tail(self._logs[name]):
+                raise DataError(f"{name} ends in a torn line and another queue has "
+                                f"the directory open; not appending")
+        fh = self._logs[name]
         _durable("write", _write, fh, text.encode("utf-8") + b"\n")
         _durable("fsync", os.fsync, fh.fileno())
+
+    def _cut_torn_tail(self, name: str) -> None:
+        with open(self._path(name), "r+b") as fh:
+            _durable("truncate", fh.truncate, fh.read().rfind(b"\n") + 1)
+            _durable("fsync", os.fsync, fh.fileno())
 
     def known_ids(self) -> set[str]:
         """The reading_ids in queue.log: pending ones, and settled ones not
@@ -273,7 +295,7 @@ class UploadQueue:
         """
         with self._lock:
             if len(self._ids) - len(self._pending) >= COMPACT_AT:
-                self._compact_if_alone()
+                self._if_alone(self._compact)
             if record.reading_id in self._ids:
                 raise DataError(f"reading_id {record.reading_id!r} already enqueued")
             prev = self._last_ts.get(record.device_id)
@@ -282,7 +304,7 @@ class UploadQueue:
                     f"timestamp {record.timestamp_utc} precedes the last enqueued "
                     f"timestamp {prev} for device {record.device_id!r}"
                 )
-            self._append(self._queue_fh, json.dumps(record.to_wire(), sort_keys=True))
+            self._append(QUEUE_LOG, json.dumps(record.to_wire(), sort_keys=True))
             self._ids.add(record.reading_id)
             if record.reading_id not in self._acked and record.reading_id not in self._dead:
                 self._pending[record.reading_id] = record
@@ -301,7 +323,7 @@ class UploadQueue:
         with self._lock:
             if reading_id in self._acked:
                 return
-            self._append(self._acked_fh, reading_id)
+            self._append(ACKED_LOG, reading_id)
             self._acked.add(reading_id)
             self._pending.pop(reading_id, None)
 
@@ -311,7 +333,7 @@ class UploadQueue:
                 return
             entry = dict(record.to_wire())
             entry["reason"] = reason
-            self._append(self._dead_fh, json.dumps(entry, sort_keys=True))
+            self._append(DEADLETTER_LOG, json.dumps(entry, sort_keys=True))
             self._dead[record.reading_id] = (record, reason)
             self._pending.pop(record.reading_id, None)
 
@@ -332,33 +354,35 @@ class UploadQueue:
         byte-identical.
         """
         with self._lock:
-            return self._compact_if_alone()
+            return self._if_alone(self._compact)
 
-    def _compact_if_alone(self) -> bool:
+    def _if_alone(self, work) -> bool:
+        """Run work() under the exclusive flock if no other queue has the
+        directory open; returns whether it ran."""
         # drop the shared flock before asking for the exclusive one: on Linux
         # a failed conversion drops it anyway
         fcntl.flock(self._flock_fh, fcntl.LOCK_UN)
         try:
             fcntl.flock(self._flock_fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            compacted = False
+            ran = False
         else:
-            # queues that had the directory open may have appended since
-            # this one loaded, so compact what the files hold
-            self._load()
-            self._compact()
-            compacted = True
+            work()
+            ran = True
         finally:
             fcntl.flock(self._flock_fh, fcntl.LOCK_SH)
         # another queue may have compacted while this one held no flock
         on_disk = os.stat(self._path(QUEUE_LOG))
-        held = os.fstat(self._queue_fh.fileno())
+        held = os.fstat(self._logs[QUEUE_LOG].fileno())
         if (on_disk.st_dev, on_disk.st_ino) != (held.st_dev, held.st_ino):
             self._load()
             self._reopen_queue_log()
-        return compacted
+        return ran
 
     def _compact(self) -> None:
+        # queues that had the directory open may have appended since this
+        # one loaded, so compact what the files hold
+        self._load()
         # each device's last timestamp must outlive the records that carry
         # it, so it is durable before they are dropped
         self._replace(LAST_TIMESTAMPS, json.dumps(self._last_ts, sort_keys=True) + "\n")
@@ -368,8 +392,8 @@ class UploadQueue:
                                          for r in self._pending.values()))
         self._reopen_queue_log()
         self._ids = set(self._pending)
-        _durable("truncate", self._acked_fh.truncate, 0)
-        _durable("fsync", os.fsync, self._acked_fh.fileno())
+        _durable("truncate", self._logs[ACKED_LOG].truncate, 0)
+        _durable("fsync", os.fsync, self._logs[ACKED_LOG].fileno())
         self._acked = set()
 
     def _replace(self, name: str, text: str) -> None:
@@ -386,12 +410,12 @@ class UploadQueue:
             os.close(dir_fd)
 
     def _reopen_queue_log(self) -> None:
-        self._queue_fh.close()
-        self._queue_fh = open(self._path(QUEUE_LOG), "ab")
+        self._logs[QUEUE_LOG].close()
+        self._logs[QUEUE_LOG] = open(self._path(QUEUE_LOG), "a+b")
 
     def close(self) -> None:
         """Close the logs and release the flock."""
-        for fh in (self._queue_fh, self._acked_fh, self._dead_fh, self._flock_fh):
+        for fh in (*self._logs.values(), self._flock_fh):
             try:
                 fh.close()
             except OSError:

@@ -195,6 +195,18 @@ class TestLoadConfigs:
         assert fm.noise_sd_mv == 3.0 and fm.seed == 4
         assert adc.bits == 12 and adc.fsr_mv == 3300.0
 
+    def test_invalid_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe {}")
+        with pytest.raises(DataError, match="invalid JSON"):
+            load_configs(path)
+
+    def test_section_of_the_wrong_type_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"forward_model": {"k_per_mgdl": [0.001, "x", 0.001]}}))
+        with pytest.raises(DataError, match="k_per_mgdl: wants an array of numbers"):
+            load_configs(path)
+
     def test_unknown_section_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"forward_model": {"gain": 2.0}, "adc": {}}))

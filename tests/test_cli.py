@@ -76,6 +76,16 @@ class TestSimulate:
         ["simulate", "--n", "5", "--out", "x.csv", "--split-fractions", "inf,0,0"],
         ["simulate", "--n", "5", "--out", "x.csv", "--range", "60:nan"],
         ["simulate", "--n", "5", "--out", "x.csv", "--range=-inf:340"],
+        # every float flag wants a finite number
+        ["calibrate", "--train", "x.csv", "--model", "svr:linear", "--svr-c", "nan"],
+        ["calibrate", "--train", "x.csv", "--model", "svr:linear", "--svr-c", "inf"],
+        ["calibrate", "--train", "x.csv", "--model", "dnn", "--sse-tol", "nan"],
+        ["sync", "--queue", "q", "--endpoint", "http://127.0.0.1:9", "--base-delay", "nan"],
+        ["sync", "--queue", "q", "--endpoint", "http://127.0.0.1:9", "--timeout", "nan"],
+        ["predict", "--model", "m.json", "--v1", "2500", "--v2", "2100", "--v3", "1900",
+         "--fsr", "nan"],
+        ["predict", "--model", "m.json", "--v1", "nan", "--v2", "2100", "--v3", "1900"],
+        ["simulate", "--n", "5", "--out", "x.csv", "--noise-sd", "1e400"],
     ])
     def test_usage_errors(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -420,6 +430,25 @@ class TestTopLevel:
         rc, _, err = run(["calibrate", "--train", str(workspace["data"]),
                           "--model", "mpr3", "--config", str(cfg)])
         assert rc == 1 and "dnn" in err
+
+    @pytest.mark.parametrize("config", [
+        {"forward_model": 5},
+        {"adc": 3},
+        {"forward_model": {"baselines_mv": 5}},
+        {"forward_model": {"noise_sd_mv": "a"}},
+        {"forward_model": {"seed": "x"}},
+        {"forward_model": {"seed": 1.5}},
+        {"forward_model": {"seed": -1}},
+        {"adc": {"fsr_mv": "5000"}},
+        {"adc": {"fsr_mv": 10 ** 400}},
+    ])
+    def test_bad_simulator_config_section_is_data_error(self, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc, _, err = run(["simulate", "--config", str(cfg),
+                          "--n", "5", "--out", str(tmp_path / "d.csv")])
+        assert rc == 2 and err.startswith("glucokit: data error")
+        assert err.count("\n") == 1
 
     def test_config_keys_naming_no_flag_are_ignored(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -144,6 +144,18 @@ class TestMalformedDocuments:
         with pytest.raises(DataError, match="svr model has non-finite parameters"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value", [("eps", math.nan), ("c", math.nan),
+                                              ("c", math.inf)])
+    def test_non_finite_svr_hyperparameter_rejected(self, field, value, dataset_factory,
+                                                    tmp_path):
+        path = tmp_path / "svr.json"
+        save_model(fit_any("svr:linear", dataset_factory(n=22, seed=2)), path)
+        doc = json.loads(path.read_text())
+        doc["params"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="svr model has non-finite parameters"):
+            load_model(path)
+
     @pytest.mark.parametrize("reshape", [
         lambda rows: [rows[0][:2]] + rows[1:],                       # one short row
         lambda rows: [rows[0][:2], rows[1] + [0.5]] + rows[2:],      # ragged, same total

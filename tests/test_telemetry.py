@@ -582,15 +582,19 @@ class TestCrashPoints:
         dead = {f"r-{i:04d}" for i in range(self.SETTLED, self.SETTLED + self.DEAD)}
         return enqueued, acked, dead
 
-    def run_script(self, d, monkeypatch, crash_at):
+    def run_script(self, d, monkeypatch, crash_at, tear=False):
         """Returns the durability ops done, the ids whose enqueue, ack or
         dead letter returned, and the step the crash cut short (None if
-        the script finished)."""
+        the script finished). With tear, a crash at a write lands half of
+        its bytes first."""
         ops, done = [], {"enqueue": set(), "ack": set(), "dead": set()}
         real = queue_module._durable
 
         def durable(op, fn, *args):
             if len(ops) == crash_at:
+                if tear and op == "write":
+                    fh, data = args
+                    fn(fh, data[:len(data) // 2])
                 raise Crash(op)
             ops.append(op)
             return real(op, fn, *args)
@@ -646,6 +650,91 @@ class TestCrashPoints:
         assert {"write", "fsync", "replace", "truncate"} <= set(ops)
         assert k == len(ops) and log_ids(d) == ["r-0065", "r-0066", "r-0067", "r-0068"]
 
+    def test_every_torn_write_recovers(self, tmp_path, monkeypatch, endpoint):
+        # a crash halfway through each write leaves a torn final line in a
+        # log (or in a compaction's temporary file); the next append to
+        # that log must not join it, so a later open still succeeds
+        base = tmp_path / "base"
+        enqueued, acked, dead = self.prepare(base)
+        shutil.copytree(base, tmp_path / "whole")
+        ops, _, _ = self.run_script(tmp_path / "whole", monkeypatch, crash_at=None)
+        writes = [k for k, op in enumerate(ops) if op == "write"]
+        assert len(writes) >= len(self.SCRIPT)
+        for k in writes:
+            d = tmp_path / f"torn-{k:03d}"
+            shutil.copytree(base, d)
+            _, done, cut = self.run_script(d, monkeypatch, crash_at=k, tear=True)
+            assert cut is not None, k
+            all_acked = acked | done["ack"]
+            with UploadQueue(d) as q:
+                pending = [r.reading_id for r in q.pending()]
+                dead_now = {r.reading_id for r, _ in q.dead_letters()}
+                assert all_acked.isdisjoint(pending), k
+                assert dead | done["dead"] <= dead_now, k
+                assert enqueued | done["enqueue"] <= set(pending) | all_acked | dead_now, k
+                endpoint.reset()
+                assert sync(q, endpoint.url, sleep_fn=no_sleep).drained(), k
+                assert endpoint.snapshot()["ids"] == pending, k
+                q.enqueue(timed_record(70))
+                q.mark_dead(timed_record(69), "HTTP 400: bad")
+            with UploadQueue(d) as q:
+                assert [r.reading_id for r in q.pending()] == ["r-0070"], k
+                assert {r.reading_id for r, _ in q.dead_letters()} >= {"r-0069"}, k
+
+
+# one append to each log
+APPENDS = {
+    QUEUE_LOG: lambda q: q.enqueue(record(2)),
+    ACKED_LOG: lambda q: q.mark_acked("r-0001"),
+    DEADLETTER_LOG: lambda q: q.mark_dead(record(1), "HTTP 400: bad"),
+}
+
+
+class TestTornTail:
+    """A crash mid-append leaves a log's final line without its newline."""
+
+    def torn_queue(self, tmp_path, log):
+        """A queue holding record 1, pending, whose log ends in a fragment;
+        returns its directory and a copy made before the fragment."""
+        d, clean = tmp_path / "q", tmp_path / "clean"
+        with UploadQueue(d) as q:
+            q.enqueue(record(1))
+        shutil.copytree(d, clean)
+        fragment = b"r-" if log == ACKED_LOG else wire_line(9).encode()[:40]
+        with open(d / log, "ab") as fh:
+            fh.write(fragment)
+        return d, clean
+
+    @pytest.mark.parametrize("log", list(APPENDS))
+    def test_fragment_is_cut_before_the_next_append(self, tmp_path, log):
+        d, clean = self.torn_queue(tmp_path, log)
+        torn = (d / log).read_bytes()
+        with UploadQueue(d) as q:
+            assert q.pending_count() == 1
+        assert (d / log).read_bytes() == torn  # an open alone rewrites nothing
+        for path in (d, clean):
+            with UploadQueue(path) as q:
+                APPENDS[log](q)
+        assert (d / log).read_bytes() == (clean / log).read_bytes()
+        with UploadQueue(d) as q:
+            pending = [r.reading_id for r in q.pending()]
+            dead = [r.reading_id for r, _ in q.dead_letters()]
+        assert (pending, dead) == {QUEUE_LOG: (["r-0001", "r-0002"], []),
+                                   ACKED_LOG: ([], []),
+                                   DEADLETTER_LOG: ([], ["r-0001"])}[log]
+
+    @pytest.mark.parametrize("log", list(APPENDS))
+    def test_append_is_refused_while_another_queue_is_open(self, tmp_path, log):
+        d, _ = self.torn_queue(tmp_path, log)
+        files = {p.name: p.read_bytes() for p in d.iterdir()}
+        with UploadQueue(d) as q, UploadQueue(d):
+            with pytest.raises(DataError, match=f"^{log} ends in a torn line"):
+                APPENDS[log](q)
+            assert q.pending_count() == 1
+        assert {p.name: p.read_bytes() for p in d.iterdir()} == files
+        with UploadQueue(d) as q:
+            APPENDS[log](q)
+
 
 class TestRetryPolicy:
     def test_delay_doubles_up_to_cap(self):
@@ -668,6 +757,8 @@ class TestRetryPolicy:
         {"base_delay": 2.0, "max_delay": 1.0},
         {"jitter": 1.5},
         {"max_attempts": 0},
+        {"base_delay": float("nan")},
+        {"max_delay": float("nan")},
     ])
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(DataError):
@@ -779,6 +870,13 @@ class TestSync:
         assert stats.uploaded == 0 and stats.remaining == 2
         assert queue.pending_count() == 2
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_timeout_is_a_data_error(self, queue, endpoint, timeout):
+        self.fill(queue, 1)
+        with pytest.raises(DataError, match="timeout"):
+            sync(queue, endpoint.url, timeout=timeout, sleep_fn=no_sleep)
+        assert queue.pending_count() == 1 and endpoint.request_count == 0
+
     def test_sleep_sequence_is_seeded(self, tmp_path, endpoint):
         endpoint.faults["fail_next"] = 4
         delays = {}
@@ -880,3 +978,28 @@ class TestMockEndpointFraming:
         assert replies[0][0] == status
         assert replies[1] == (200, {"ack": "r-0001"})
         assert endpoint.snapshot()["ids"] == ["r-0001"]
+
+
+class TestMockEndpointRecordRule:
+    @pytest.mark.parametrize("changes", [
+        {"glucose_kind": "plasma"},
+        {"glucose_mgdl": True},
+        {"device_id": ""},
+        {"timestamp_utc": "yesterday"},
+        {"firmware": "1.2"},
+    ], ids=["plasma-kind", "bool-glucose", "empty-device", "bad-timestamp", "extra-field"])
+    def test_reading_the_queue_refuses_is_rejected(self, endpoint, changes):
+        body = dict(record(1).to_wire(), **changes)
+        with pytest.raises(DataError) as refused:
+            ReadingRecord.from_wire(body)
+        host, port = endpoint.url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            conn.request("POST", "/v1/readings", json.dumps(body),
+                         {"Content-Type": "application/json"})
+            with conn.getresponse() as resp:
+                reply = (resp.status, json.loads(resp.read()))
+        finally:
+            conn.close()
+        assert reply == (400, {"error": str(refused.value)})
+        assert endpoint.snapshot()["count"] == 0
