@@ -679,7 +679,7 @@ class TestCrashPoints:
                 q.mark_dead(timed_record(69), "HTTP 400: bad")
             with UploadQueue(d) as q:
                 assert [r.reading_id for r in q.pending()] == ["r-0070"], k
-                assert {r.reading_id for r, _ in q.dead_letters()} >= {"r-0069"}, k
+                assert "r-0069" in {r.reading_id for r, _ in q.dead_letters()}, k
 
 
 # one append to each log
