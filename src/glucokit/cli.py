@@ -176,12 +176,7 @@ def cmd_simulate(args, config: dict) -> int:
         args.n, (lo, hi), fm, adc, n_raw=args.n_raw, serum_delta=serum_delta,
         id_prefix=args.id_prefix,
     )
-    fractions = args.split_fractions
-    if any(f > 0 for f in fractions[1:]) or fractions[0] < 1:
-        ds = split_dataset(ds, seed=fm.seed, fractions=fractions)
-    else:
-        ds = ds.with_splits({s.id: "calibration" for s in ds.samples})
-    export_csv(ds, args.out)
+    export_csv(split_dataset(ds, seed=fm.seed, fractions=args.split_fractions), args.out)
     print(f"wrote {args.n} samples to {args.out} "
           f"(glucose {lo:g}-{hi:g} mg/dl, noise sd {fm.noise_sd_mv:g} mV, "
           f"seed {fm.seed})")
@@ -270,7 +265,6 @@ def cmd_validate(args, config: dict) -> int:
     rep = metrics_report(p)
     ceg = ceg_analyze(p)
 
-    os.makedirs(out_dir, exist_ok=True)
     doc = {
         "model": {"spec": tm.spec, "glucose_kind": tm.glucose_kind,
                   "metadata": tm.metadata},
@@ -279,16 +273,15 @@ def cmd_validate(args, config: dict) -> int:
         "metrics": rep.to_dict(),
         "ceg": ceg.to_dict(),
     }
-
-    written = ["report.json", "scatter.svg", "ceg.svg", "zones.svg"]
     title = f"{tm.tag} ({used} split, n={len(p)})"
-    with open(os.path.join(out_dir, "scatter.svg"), "w", encoding="utf-8") as fh:
-        fh.write(svgplot.scatter_svg(p, title=f"Predicted vs reference: {title}"))
-    with open(os.path.join(out_dir, "ceg.svg"), "w", encoding="utf-8") as fh:
-        fh.write(svgplot.ceg_svg(p, title=f"Clarke error grid: {title}"))
-    with open(os.path.join(out_dir, "zones.svg"), "w", encoding="utf-8") as fh:
-        fh.write(svgplot.histogram_svg(ceg, title=f"Clarke zones: {title}"))
-
+    # file name -> text, in the order the summary lists them; report.json
+    # keeps its first place but is filled in once the groups are known
+    files = {
+        "report.json": None,
+        "scatter.svg": svgplot.scatter_svg(p, title=f"Predicted vs reference: {title}"),
+        "ceg.svg": svgplot.ceg_svg(p, title=f"Clarke error grid: {title}"),
+        "zones.svg": svgplot.histogram_svg(ceg, title=f"Clarke zones: {title}"),
+    }
     if group_by is not None:
         doc["groups"] = {}
         for value, gp in group_readings(p, group_by).items():
@@ -300,22 +293,21 @@ def cmd_validate(args, config: dict) -> int:
             doc["groups"][value] = {
                 "n": len(gp), "metrics": gmetrics, "ceg": gceg.to_dict(),
             }
-            name = f"ceg_{_slug(value)}.svg"
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(svgplot.ceg_svg(
-                    gp, title=f"Clarke error grid: {tm.tag} {group_by}={value}"))
-            written.append(name)
+            files[f"ceg_{_slug(value)}.svg"] = svgplot.ceg_svg(
+                gp, title=f"Clarke error grid: {tm.tag} {group_by}={value}")
+    files["report.json"] = json.dumps(doc, indent=2) + "\n"
 
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
 
     print(f"validated {tm.tag} on {len(p)} samples ({used} split)")
     print(f"mARD {rep.mard_pct:.4f} %  AvgE {rep.avge_pct:.4f} %  "
           f"MAD {rep.mad_mgdl:.4f} mg/dl  RMSE {rep.rmse_mgdl:.4f} mg/dl  "
           f"r {rep.r_pearson:.6f}")
     print("CEG " + "  ".join(f"{z} {ceg.percentages[z]:.1f}%" for z in ZONES))
-    print(f"wrote {' '.join(written)} in {out_dir}")
+    print(f"wrote {' '.join(files)} in {out_dir}")
     return 0
 
 

@@ -160,20 +160,14 @@ class Dataset:
         return Dataset(self.samples, dict(labels))
 
 
-def _parse_float(text: str, what: str, row: int) -> float:
+def _parse_float(text: str, what: str) -> float:
     try:
         v = float(text)
     except ValueError:
-        raise DataError(f"row {row}: {what} is not numeric: {text!r}") from None
+        raise DataError(f"{what} is not numeric: {text!r}") from None
     if not math.isfinite(v):
-        raise DataError(f"row {row}: {what} must be finite, got {text!r}")
+        raise DataError(f"{what} must be finite, got {text!r}")
     return v
-
-
-def _row_error(lineno: int, exc: DataError) -> DataError:
-    msg = str(exc)
-    prefix = f"row {lineno}: "
-    return DataError(msg if msg.startswith(prefix) else prefix + msg)
 
 
 def load_csv(path) -> Dataset:
@@ -201,49 +195,39 @@ def load_csv(path) -> Dataset:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(CSV_HEADER):
-                raise DataError(
-                    f"row {lineno}: expected {len(CSV_HEADER)} columns, got {len(row)}"
-                )
-            (sid, ch1, ch2, ch3, cap, ser, mode, sex, age, split) = [c.strip() for c in row]
-            if sid in seen:
-                raise DataError(f"row {lineno}: duplicate sample id {sid!r}")
-            seen.add(sid)
             try:
+                if len(row) != len(CSV_HEADER):
+                    raise DataError(f"expected {len(CSV_HEADER)} columns, got {len(row)}")
+                (sid, ch1, ch2, ch3, cap, ser, mode, sex, age, split) = [c.strip() for c in row]
+                if sid in seen:
+                    raise DataError(f"duplicate sample id {sid!r}")
+                seen.add(sid)
                 voltages = ChannelVoltages(
-                    _parse_float(ch1, "ch1_mv", lineno),
-                    _parse_float(ch2, "ch2_mv", lineno),
-                    _parse_float(ch3, "ch3_mv", lineno),
+                    _parse_float(ch1, "ch1_mv"),
+                    _parse_float(ch2, "ch2_mv"),
+                    _parse_float(ch3, "ch3_mv"),
                 )
-            except DataError as exc:
-                raise _row_error(lineno, exc) from None
-
-            def glucose(text: str, kind: str) -> GlucoseValue | None:
-                if not text:
-                    return None
-                return GlucoseValue(_parse_float(text, f"{kind}_mgdl", lineno), kind)
-
-            if split and split not in SPLITS:
-                raise DataError(f"row {lineno}: invalid split {split!r}")
-            age_years = None
-            if age:
+                if split and split not in SPLITS:
+                    raise DataError(f"invalid split {split!r}")
                 try:
-                    age_years = int(age)
+                    age_years = int(age) if age else None
                 except ValueError:
-                    raise DataError(f"row {lineno}: age is not an integer: {age!r}") from None
-            try:
-                sample = Sample(
+                    raise DataError(f"age is not an integer: {age!r}") from None
+                capillary, serum = (
+                    GlucoseValue(_parse_float(t, f"{kind}_mgdl"), kind) if t else None
+                    for t, kind in ((cap, "capillary"), (ser, "serum"))
+                )
+                samples.append(Sample(
                     id=sid,
                     voltages=voltages,
-                    capillary=glucose(cap, "capillary"),
-                    serum=glucose(ser, "serum"),
+                    capillary=capillary,
+                    serum=serum,
                     mode=mode or None,
                     sex=sex or "unspecified",
                     age_years=age_years,
-                )
+                ))
             except DataError as exc:
-                raise _row_error(lineno, exc) from None
-            samples.append(sample)
+                raise DataError(f"row {lineno}: {exc}") from None
             if split:
                 labels[sid] = split
     return Dataset(tuple(samples), labels)

@@ -9,7 +9,7 @@ one well-defined zone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,14 +59,7 @@ class MetricsReport:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "mard_pct": self.mard_pct,
-            "avge_pct": self.avge_pct,
-            "mad_mgdl": self.mad_mgdl,
-            "rmse_mgdl": self.rmse_mgdl,
-            "r_pearson": self.r_pearson,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ def fit_model(model_spec: str, train: Dataset, kind: str, *,
     if created_utc is not None:
         meta["created_utc"] = created_utc
     meta["hyperparameters"] = hyperparameters
-    return TrainedModel(spec=model_spec, glucose_kind=kind, model=model, metadata=meta)
+    return TrainedModel(spec=model_spec, model=model, metadata=meta)
 
 
 __all__ = [

@@ -107,13 +107,7 @@ class DnnModel(FamilyModel):
             "weights": tuple(tuple(tuple(float(x) for x in row) for row in w) for w in ws),
             "biases": tuple(tuple(float(x) for x in b) for b in bs),
         }
-        hyperparameters = {
-            "hidden_layers": cfg.hidden_layers,
-            "width": cfg.width,
-            "lambda0": cfg.lambda0,
-            "max_iters": cfg.max_iters,
-            "sse_tol": cfg.sse_tol,
-        }
+        hyperparameters = {k: v for k, v in asdict(cfg).items() if k in cls.options}
         return fitted, hyperparameters
 
     def decision(self, Z: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ class TrainedModel:
     """A fitted model plus the metadata needed to reproduce and audit the fit."""
 
     spec: str  # spec string, e.g. "mpr3", "svr:fine-gaussian", "dnn"
-    glucose_kind: str
     model: FamilyModel
     metadata: dict
 
@@ -39,6 +38,11 @@ class TrainedModel:
 
     def predict(self, v: ChannelVoltages) -> Prediction:
         return self.predict_batch([v])[0]
+
+    @property
+    def glucose_kind(self) -> str:
+        """The reference kind the model was fitted to, held by the family model."""
+        return self.model.glucose_kind
 
     @property
     def tag(self) -> str:
@@ -74,7 +78,6 @@ def model_from_dict(doc: dict) -> TrainedModel:
         raise DataError(f"malformed model document: {exc!r}") from None
     return TrainedModel(
         spec=doc.get("spec", family),
-        glucose_kind=kind,
         model=model,
         metadata=dict(doc.get("metadata", {})),
     )

@@ -19,6 +19,7 @@ from ..errors import DataError, NetworkError
 from .queue import ReadingRecord
 
 _CONTROL_COUNTERS = ("fail_next", "reject_next", "drop_next")
+_NO_FAULTS = {**dict.fromkeys(_CONTROL_COUNTERS, 0), "latency": 0.0, "every_other": False}
 
 
 class MockEndpoint:
@@ -27,8 +28,7 @@ class MockEndpoint:
     def __init__(self, port: int = 0, host: str = "127.0.0.1"):
         self._lock = threading.Lock()
         self.store: dict[str, dict] = {}
-        self.faults = {"fail_next": 0, "reject_next": 0, "drop_next": 0,
-                       "latency": 0.0, "every_other": False}
+        self.faults = dict(_NO_FAULTS)
         self.request_count = 0
         handler = _make_handler(self)
         try:
@@ -74,14 +74,10 @@ class MockEndpoint:
                     return name
         return None
 
-    def accept(self, record: dict) -> tuple[bool, str]:
-        """Store a wire record; returns (stored_now, reading_id)."""
-        rid = record["reading_id"]
+    def accept(self, record: dict) -> None:
+        """Store a wire record unless its reading_id is already stored."""
         with self._lock:
-            if rid in self.store:
-                return False, rid
-            self.store[rid] = record
-            return True, rid
+            self.store.setdefault(record["reading_id"], record)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -94,10 +90,7 @@ class MockEndpoint:
     def reset(self) -> None:
         with self._lock:
             self.store.clear()
-            for name in _CONTROL_COUNTERS:
-                self.faults[name] = 0
-            self.faults["latency"] = 0.0
-            self.faults["every_other"] = False
+            self.faults.update(_NO_FAULTS)
             self.request_count = 0
 
 
@@ -177,8 +170,8 @@ def _make_handler(owner: MockEndpoint):
                 ReadingRecord.from_wire(body)
             except DataError as exc:
                 return self._reply(400, {"error": str(exc)})
-            _, rid = owner.accept(body)
-            self._reply(200, {"ack": rid})
+            owner.accept(body)
+            self._reply(200, {"ack": body["reading_id"]})
 
         def _control(self, body: dict):
             name = self.path[len("/control/"):]

@@ -93,6 +93,18 @@ class TestSimulate:
         assert rc == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("fractions,message", [
+        ("2,0,0", "fractions must sum to 1, got 2.0"),
+        ("1.5,-0.5,0", "fractions must be non-negative"),
+    ])
+    def test_bad_split_fractions_are_data_errors(self, fractions, message, tmp_path):
+        out = tmp_path / "d.csv"
+        rc, _, err = run(["simulate", "--n", "15", "--seed", "0", "--out", str(out),
+                          "--split-fractions", fractions])
+        assert rc == 2
+        assert err == f"glucokit: data error: {message}\n"
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_fit_summary_and_saved_model(self, workspace):
@@ -188,6 +200,16 @@ class TestValidate:
         assert sum(g["n"] for g in groups.values()) == doc["data"]["n"]
         for value in groups:
             assert (d / f"ceg_{value}.svg").exists()
+
+    def test_grouped_run_lists_exactly_the_files_it_wrote(self, workspace, tmp_path):
+        d = tmp_path / "grouped"
+        rc, out, _ = run(["validate", "--model", str(workspace["model"]),
+                          "--data", str(workspace["data"]), "--out-dir", str(d),
+                          "--group-by", "sex"])
+        assert rc == 0
+        names = "report.json scatter.svg ceg.svg zones.svg ceg_female.svg ceg_male.svg"
+        assert out.splitlines()[-1] == f"wrote {names} in {d}"
+        assert sorted(p.name for p in d.iterdir()) == sorted(names.split())
 
     def test_missing_inputs_are_usage_errors(self, workspace):
         rc, _, err = run(["validate", "--model", str(workspace["model"])])

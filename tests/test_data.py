@@ -154,6 +154,44 @@ class TestCsvRoundTrip:
         assert s.capillary is None and s.serum is None
         assert s.mode is None and s.age_years is None
 
+    # row 3 of each file is the good row below with the named fields replaced
+    GOOD_ROW = dict(zip(CSV_HEADER, ("b", "100", "100", "100", "90", "86",
+                                     "fasting", "male", "40", "calibration")))
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"split": "calibration,extra"}, "expected 10 columns, got 11"),
+        ({"id": "a"}, "duplicate sample id 'a'"),
+        ({"id": ""}, "sample id must be a non-empty string"),
+        ({"ch2_mv": "oops"}, "ch2_mv is not numeric: 'oops'"),
+        ({"ch1_mv": "-1"}, "ch1_mv must be >= 0 mV, got -1.0"),
+        ({"ch3_mv": "inf"}, "ch3_mv must be finite, got 'inf'"),
+        ({"serum_mgdl": "high"}, "serum_mgdl is not numeric: 'high'"),
+        ({"capillary_mgdl": "0"}, "glucose value must be finite and > 0 mg/dl, got 0.0"),
+        ({"split": "train"}, "invalid split 'train'"),
+        ({"age": "4.5"}, "age is not an integer: '4.5'"),
+        ({"age": "-3"}, "age_years must be a non-negative integer, got -3"),
+        ({"mode": "sleep"},
+         "mode must be one of ('fasting', 'postprandial', 'random') or None, got 'sleep'"),
+        ({"sex": "x"}, "sex must be one of ('male', 'female', 'unspecified'), got 'x'"),
+        # several defects in one row: the first check in row order wins
+        ({"id": "a", "ch1_mv": "oops"}, "duplicate sample id 'a'"),
+        ({"ch1_mv": "-1", "split": "train"}, "ch1_mv must be >= 0 mV, got -1.0"),
+        ({"split": "train", "age": "x"}, "invalid split 'train'"),
+        ({"age": "x", "capillary_mgdl": "0"}, "age is not an integer: 'x'"),
+        ({"capillary_mgdl": "0", "serum_mgdl": "x"},
+         "glucose value must be finite and > 0 mg/dl, got 0.0"),
+        ({"serum_mgdl": "-5", "sex": "x"}, "glucose value must be finite and > 0 mg/dl, got -5.0"),
+        ({"id": "", "sex": "x"}, "sample id must be a non-empty string"),
+    ])
+    def test_row_defect_messages(self, fields, message, tmp_path):
+        row = ",".join({**self.GOOD_ROW, **fields}.values())
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n"
+                        "a,100,100,100,90,,fasting,male,40,\n" + row + "\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"row 3: {message}"
+
 
 class TestSplitDataset:
     def _sizes(self, d):
