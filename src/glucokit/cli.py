@@ -131,6 +131,17 @@ def _numbers(count: int, sep: str):
     return parse
 
 
+def _seed(text: str) -> int:
+    """The type= parser of every --seed flag: one non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"wants an integer >= 0, got {text!r}")
+    return value
+
+
 def _parse_depths(text: str) -> list[int]:
     m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
     if not m:
@@ -439,7 +450,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("simulate", parents=[common],
                        help="generate a synthetic dataset CSV")
     s.add_argument("--n", type=int, help="number of samples")
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=_seed)
     s.add_argument("--out", help="output CSV path")
     s.add_argument("--range", type=_numbers(2, ":"), default="60:340", metavar="LO:HI",
                    help="glucose range in mg/dl (default 60:340)")
@@ -463,7 +474,7 @@ def build_parser() -> _Parser:
                    help="model spec (default mpr3); one of " + ", ".join(MODEL_SPECS))
     c.add_argument("--kind", default="capillary", choices=GLUCOSE_KINDS)
     c.add_argument("--out", help="model JSON output path")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--split", default="auto", choices=splits)
     c.add_argument("--timestamp", help="ISO timestamp recorded in model metadata")
     # the stored value is the option itself: intercept=False
@@ -518,7 +529,7 @@ def build_parser() -> _Parser:
     y.add_argument("--max-delay", type=_finite, default=2.0)
     y.add_argument("--jitter", type=_finite, default=0.1)
     y.add_argument("--timeout", type=_finite, default=10.0)
-    y.add_argument("--seed", type=int, default=0, help="retry jitter seed")
+    y.add_argument("--seed", type=_seed, default=0, help="retry jitter seed")
     y.set_defaults(func=cmd_sync)
 
     r = sub.add_parser("report", parents=[common],

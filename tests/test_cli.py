@@ -86,6 +86,10 @@ class TestSimulate:
          "--fsr", "nan"],
         ["predict", "--model", "m.json", "--v1", "nan", "--v2", "2100", "--v3", "1900"],
         ["simulate", "--n", "5", "--out", "x.csv", "--noise-sd", "1e400"],
+        # every --seed flag wants a non-negative integer
+        ["simulate", "--n", "5", "--out", "x.csv", "--seed", "-1"],
+        ["calibrate", "--train", "x.csv", "--model", "dnn", "--seed", "-1"],
+        ["sync", "--queue", "q", "--endpoint", "http://127.0.0.1:9", "--seed", "-1"],
     ])
     def test_usage_errors(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
