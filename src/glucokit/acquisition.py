@@ -12,65 +12,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
-from typing import ClassVar, get_origin, get_type_hints
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .data import Dataset, ChannelVoltages, GlucoseValue, Sample, MODES, SEXES
+from .data import Dataset, ChannelVoltages, GlucoseValue, Sample, MODES, SEXES, json_reader
 from .errors import DataError
 
 GLUCOSE_MIN_MGDL = 40.0
 GLUCOSE_MAX_MGDL = 420.0
 
 
-def _json_int(v) -> int:
-    # bool is an int subclass, but a JSON true is not a number
-    if type(v) is not int:
-        raise TypeError(v)
-    return v
-
-
-def _json_number(v) -> float:
-    if type(v) is not int and type(v) is not float:
-        raise TypeError(v)
-    return float(v)  # OverflowError for an int beyond float range
-
-
-def _json_numbers(v) -> tuple[float, ...]:
-    if not isinstance(v, list):
-        raise TypeError(v)
-    return tuple(map(_json_number, v))
-
-
-# a config field's type -> the reader of its JSON value, and what that wants
-_FIELD_READERS = {int: (_json_int, "an integer"), float: (_json_number, "a number"),
-                  tuple: (_json_numbers, "an array of numbers")}
-
-
 class _ConfigSection:
-    """from_dict for a config dataclass: one JSON object per section, each
-    key a field, each value of its field's type."""
+    """from_dict for a config dataclass, its JSON object under key `section`."""
 
     section: ClassVar[str]
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise DataError(f"{cls.section} config must be a JSON object, got {d!r}")
-        bad = set(d) - {f.name for f in fields(cls)}
-        if bad:
-            raise DataError(f"unknown {cls.section} config keys: {sorted(bad)}")
-        hints = get_type_hints(cls)
-        values = {}
-        for key, v in d.items():
-            read, wants = _FIELD_READERS[get_origin(hints[key]) or hints[key]]
-            try:
-                values[key] = read(v)
-            except (TypeError, OverflowError):
-                raise DataError(f"{cls.section} config {key}: wants {wants}, "
-                                f"got {v!r}") from None
-        return cls(**values)
+        return json_reader(cls, cls.section)(d)
 
 
 @dataclass(frozen=True)
@@ -109,7 +70,7 @@ class ForwardModelConfig(_ConfigSection):
     [1500, 2900] mV over glucose 40..420, well inside a 5000 mV FSR.
     """
 
-    section: ClassVar[str] = "forward model"
+    section: ClassVar[str] = "forward_model"
 
     baselines_mv: tuple[float, float, float] = (3000.0, 2600.0, 2200.0)
     k_per_mgdl: tuple[float, float, float] = (0.0016, 0.0011, 0.0007)

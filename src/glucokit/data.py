@@ -16,9 +16,12 @@ Voltages are decimal millivolts.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import chain
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -158,6 +161,61 @@ class Dataset:
 
     def with_splits(self, labels: dict[str, str]) -> "Dataset":
         return Dataset(self.samples, dict(labels))
+
+
+# a leaf type read from JSON -> the JSON types it takes, its name, its plural
+_JSON_LEAVES = {float: ({int, float}, "a number", "numbers"), int: ({int}, "an integer", "integers"),
+                str: ({str}, "a string", "strings"), type(None): ({type(None)}, "null", "nulls")}
+
+
+@functools.cache
+def json_reader(hint, where: str) -> Callable:
+    """The one reader from decoded JSON to a value typed hint, for model
+    documents and simulator configs; where names the value in errors. A
+    dataclass is an object: unknown keys are refused, missing ones take the
+    field default. A tuple hint n deep is n levels of arrays. Each leaf has
+    its hint's JSON type (true and "0.25" are not numbers), and a number reads
+    as a float. Arrays are checked a level at a time at C speed, since every
+    model load runs this. Anything else is a DataError."""
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        readers = {f.name: json_reader(hints[f.name], f"{where}.{f.name}") for f in fields(hint)}
+
+        def read_object(v, **given):
+            if type(v) is not dict:
+                raise DataError(f"{where}: wants an object, got {v!r}")
+            if v.keys() - readers:
+                raise DataError(f"{where}: unknown keys {sorted(v.keys() - readers)}")
+            return hint(**{k: readers[k](x) for k, x in v.items()}, **given)
+        return read_object
+    depth = 0
+    while get_origin(hint) is tuple:
+        hint, depth = get_args(hint)[0], depth + 1
+    leaves = [_JSON_LEAVES[t] for t in get_args(hint) or (hint,)]
+    kinds = set().union(*(k for k, *_ in leaves))
+    wants = ("an array of " * (depth > 0) + "arrays of " * (depth - 1)
+             + " or ".join(names[depth > 0] for _, *names in leaves))
+    # the value as is, or with its integers as floats; nested arrays become tuples
+    same, to_float = (lambda v: v, float) if depth == 0 else (tuple, lambda r: tuple(map(float, r)))
+    for _ in range(depth - 1):
+        same, to_float = (lambda v, f=same: tuple(map(f, v))), (lambda v, f=to_float: tuple(map(f, v)))
+
+    def read(v):
+        arrays = [[v]]  # the arrays whose items are checked next
+        for d in range(depth, -1, -1):  # each level of arrays, then the leaves
+            want = {list} if d else kinds
+            found = set(map(type, chain.from_iterable(arrays)))
+            if not found <= want:
+                bad = next(x for x in chain.from_iterable(arrays) if type(x) not in want)
+                raise DataError(f"{where}: wants {wants}, got {bad!r}")
+            arrays = [*chain.from_iterable(arrays)] if d else arrays
+        if int not in found or float not in kinds:
+            return same(v)
+        try:
+            return to_float(v)
+        except OverflowError:
+            raise DataError(f"{where}: a number is out of float range") from None
+    return read
 
 
 def _parse_float(text: str, what: str) -> float:

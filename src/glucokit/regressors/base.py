@@ -4,15 +4,13 @@ clamp) that every family runs through."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ..data import ChannelVoltages, Dataset, Sample, GLUCOSE_KINDS
+from ..data import ChannelVoltages, Dataset, Sample, GLUCOSE_KINDS, json_reader
 from ..errors import DataError
 
 CLAMP_LO_MGDL = 10.0
@@ -107,24 +105,6 @@ def _to_json(v):
     return [_to_json(x) for x in v] if isinstance(v, tuple) else v
 
 
-@functools.cache
-def _decoder(hint) -> Callable:
-    """JSON -> value of a field typed `hint`: dataclasses field by field,
-    (nested) tuples from arrays, float fields through float(). Type hints are
-    slow to resolve and fixed per class, so each decoder is built once."""
-    if is_dataclass(hint):
-        hints = get_type_hints(hint)
-        parts = [(f.name, _decoder(hints[f.name])) for f in fields(hint)]
-        return lambda v: hint(**{name: dec(v[name]) for name, dec in parts})
-    if get_origin(hint) is tuple:
-        item = get_args(hint)[0]
-        if get_origin(item) is not tuple:
-            return tuple
-        dec = _decoder(item)
-        return lambda v: tuple(map(dec, v))
-    return float if hint is float else (lambda v: v)
-
-
 class FamilyModel:
     """The shared half of the model-family contract (see the package doc).
 
@@ -174,5 +154,5 @@ class FamilyModel:
 
     @classmethod
     def from_params(cls, params: dict, kind: str) -> FamilyModel:
-        """Inverse of params(); arrays become tuples, float fields floats."""
-        return _decoder(cls)(dict(params, glucose_kind=kind))
+        """Inverse of params(), read by data.json_reader."""
+        return json_reader(cls, "params")(params, glucose_kind=kind)
