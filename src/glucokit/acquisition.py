@@ -22,6 +22,9 @@ from .errors import DataError
 
 GLUCOSE_MIN_MGDL = 40.0
 GLUCOSE_MAX_MGDL = 420.0
+# most raw samples averaged per channel, 64 times the instrument's 1024;
+# simulate_sample checks it before drawing, so one draw is at most 512 KB
+MAX_N_RAW = 65_536
 
 
 class _ConfigSection:
@@ -161,8 +164,8 @@ def simulate_sample(
     coherently average, quantize through the ADC, and dequantize. The returned
     Sample carries the input glucose under its own kind.
     """
-    if n_raw < 1:
-        raise DataError(f"n_raw must be >= 1, got {n_raw}")
+    if not 1 <= n_raw <= MAX_N_RAW:
+        raise DataError(f"n_raw must be in [1, {MAX_N_RAW}], got {n_raw}")
     g = glucose.value_mgdl
     if not GLUCOSE_MIN_MGDL <= g <= GLUCOSE_MAX_MGDL:
         raise DataError(
@@ -252,7 +255,7 @@ def load_configs(path) -> tuple[ForwardModelConfig, AdcConfig]:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
+    except (ValueError, RecursionError) as exc:  # invalid JSON, invalid UTF-8, or too deep
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: config document must be a JSON object")

@@ -69,7 +69,7 @@ def _load_flag_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as e:  # invalid JSON or invalid UTF-8
+    except (ValueError, RecursionError) as e:  # invalid JSON, invalid UTF-8, or too deep
         raise DataError(f"config {path}: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
         raise DataError(f"config {path}: top level must be a JSON object")
@@ -393,7 +393,7 @@ def _report_row(path: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as e:  # invalid JSON or invalid UTF-8
+    except (ValueError, RecursionError) as e:  # invalid JSON, invalid UTF-8, or too deep
         raise DataError(f"report {path}: not valid JSON ({e})") from e
     try:
         m = doc["metrics"]
@@ -456,7 +456,7 @@ def build_parser() -> _Parser:
                    help="glucose range in mg/dl (default 60:340)")
     s.add_argument("--noise-sd", type=_finite, help="channel noise sd in mV (default 6)")
     s.add_argument("--n-raw", type=int, default=1024,
-                   help="raw samples averaged per channel (default 1024)")
+                   help=f"raw samples averaged per channel (default 1024, at most {acquisition.MAX_N_RAW})")
     s.add_argument("--serum-delta", type=_finite, default=0.05,
                    help="serum = capillary*(1-delta); default 0.05")
     s.add_argument("--no-serum", action="store_true",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..data import ChannelVoltages
+from ..data import GLUCOSE_KINDS, ChannelVoltages
 from ..errors import DataError
 from .base import FamilyModel, Prediction
 from .dnn import DnnModel
@@ -73,14 +73,23 @@ def model_from_dict(doc: dict) -> TrainedModel:
         params = doc["params"]
         if family not in FAMILIES:
             raise DataError(f"unknown model family {family!r}")
+        # the identity fields tag every enqueued reading, so each must name
+        # something glucokit fits
+        if kind not in GLUCOSE_KINDS:
+            raise DataError(f"glucose_kind must be one of {GLUCOSE_KINDS}, got {kind!r}")
+        specs = FAMILIES[family].specs
+        spec = doc.get("spec", family)
+        if spec not in specs:
+            raise DataError(f"spec must be one of {family}'s {tuple(specs)}, got {spec!r}")
+        metadata = doc.get("metadata", {})
+        if type(metadata) is not dict:
+            raise DataError(f"metadata must be a JSON object, got {metadata!r}")
         model = FAMILIES[family].from_params(params, kind)
+        if any(getattr(model, k) != v for k, v in specs[spec].items()):
+            raise DataError(f"params do not match spec {spec!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model document: {exc!r}") from None
-    return TrainedModel(
-        spec=doc.get("spec", family),
-        model=model,
-        metadata=dict(doc.get("metadata", {})),
-    )
+    return TrainedModel(spec=spec, model=model, metadata=dict(metadata))
 
 
 def save_model(tm: TrainedModel, path) -> None:
@@ -93,6 +102,6 @@ def load_model(path) -> TrainedModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
+    except (ValueError, RecursionError) as exc:  # invalid JSON, invalid UTF-8, or too deep
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     return model_from_dict(doc)

@@ -98,7 +98,7 @@ def _post_record(conn: http.client.HTTPConnection, path: str, record: ReadingRec
         raise _Transient(f"HTTP {status}: {detail or reason}")
     try:
         payload = json.loads(reply.decode("utf-8"))
-    except ValueError:
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
         raise _Transient("endpoint reply is not JSON") from None
     ack = payload.get("ack") if isinstance(payload, dict) else None
     if ack != record.reading_id:

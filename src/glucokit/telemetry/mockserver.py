@@ -125,7 +125,7 @@ def _make_handler(owner: MockEndpoint):
                 return None
             try:
                 return json.loads(self.rfile.read(length).decode("utf-8"))
-            except ValueError:
+            except (ValueError, RecursionError):
                 return None
 
         def _drop(self) -> None:

@@ -232,7 +232,7 @@ class UploadQueue:
         for lineno, line in enumerate(_read_lines(self._path(name)), start=1):
             try:
                 load_entry(_decode_line(line))
-            except (ValueError, DataError) as exc:
+            except (ValueError, RecursionError, DataError) as exc:
                 raise DataError(f"{name} line {lineno}: corrupt entry: {exc}") from None
 
     def _load_last_timestamps(self, entry) -> None:
