@@ -456,7 +456,8 @@ def build_parser() -> _Parser:
                    help="glucose range in mg/dl (default 60:340)")
     s.add_argument("--noise-sd", type=_finite, help="channel noise sd in mV (default 6)")
     s.add_argument("--n-raw", type=int, default=1024,
-                   help=f"raw samples averaged per channel (default 1024, at most {acquisition.MAX_N_RAW})")
+                   help="raw samples averaged per channel "
+                        f"(default 1024, at most {acquisition.MAX_N_RAW})")
     s.add_argument("--serum-delta", type=_finite, default=0.05,
                    help="serum = capillary*(1-delta); default 0.05")
     s.add_argument("--no-serum", action="store_true",

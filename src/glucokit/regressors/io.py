@@ -77,15 +77,15 @@ def model_from_dict(doc: dict) -> TrainedModel:
         # something glucokit fits
         if kind not in GLUCOSE_KINDS:
             raise DataError(f"glucose_kind must be one of {GLUCOSE_KINDS}, got {kind!r}")
-        specs = FAMILIES[family].specs
+        cls = FAMILIES[family]
         spec = doc.get("spec", family)
-        if spec not in specs:
-            raise DataError(f"spec must be one of {family}'s {tuple(specs)}, got {spec!r}")
+        if spec not in cls.specs:
+            raise DataError(f"spec must be one of {family}'s {tuple(cls.specs)}, got {spec!r}")
         metadata = doc.get("metadata", {})
         if type(metadata) is not dict:
             raise DataError(f"metadata must be a JSON object, got {metadata!r}")
-        model = FAMILIES[family].from_params(params, kind)
-        if any(getattr(model, k) != v for k, v in specs[spec].items()):
+        model = cls.from_params(params, kind)
+        if any(getattr(model, k) != v for k, v in cls.specs[spec].items()):
             raise DataError(f"params do not match spec {spec!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model document: {exc!r}") from None
