@@ -63,16 +63,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_flag_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; what names the file in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (ValueError, RecursionError) as e:  # invalid JSON, invalid UTF-8, or too deep
-        raise DataError(f"config {path}: not valid JSON ({e})") from e
+        raise DataError(f"{what} {path}: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
-        raise DataError(f"config {path}: top level must be a JSON object")
+        raise DataError(f"{what} {path}: top level must be a JSON object")
     return doc
 
 
@@ -167,12 +166,8 @@ def _select_split(ds: Dataset, which: str, wanted: str) -> tuple[Dataset, str]:
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args, config: dict) -> int:
-    if args.n is None:
-        raise UsageError("--n is required")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.out is None:
-        raise UsageError("--out is required")
     lo, hi = args.range
     serum_delta = None if args.no_serum else args.serum_delta
 
@@ -206,8 +201,6 @@ _FAMILY_FLAGS = {
 
 
 def cmd_calibrate(args, config: dict) -> int:
-    if args.train is None:
-        raise UsageError("--train is required")
     spec, kind, seed = args.model, args.kind, args.seed
     if spec not in MODEL_SPECS:
         raise UsageError(f"unknown model {spec!r}; choose from {', '.join(MODEL_SPECS)}")
@@ -263,8 +256,6 @@ def _slug(value: str) -> str:
 
 
 def cmd_validate(args, config: dict) -> int:
-    if None in (args.model, args.data, args.out_dir):
-        raise UsageError("--model, --data and --out-dir are required")
     out_dir, group_by = args.out_dir, args.group_by
 
     tm = load_model(args.model)
@@ -325,11 +316,7 @@ def cmd_validate(args, config: dict) -> int:
 # ----------------------------------------------------------------- predict
 
 def cmd_predict(args, config: dict) -> int:
-    if args.model is None:
-        raise UsageError("--model is required")
     v = (args.v1, args.v2, args.v3)
-    if any(x is None for x in v):
-        raise UsageError("--v1, --v2 and --v3 are required (millivolts)")
 
     tm = load_model(args.model)
     voltages = ChannelVoltages(*v)
@@ -364,10 +351,6 @@ def cmd_predict(args, config: dict) -> int:
 # -------------------------------------------------------------------- sync
 
 def cmd_sync(args, config: dict) -> int:
-    if args.queue is None:
-        raise UsageError("--queue DIR is required (or GLUCOKIT_QUEUE_DIR)")
-    if args.endpoint is None:
-        raise UsageError("--endpoint URL is required (or GLUCOKIT_ENDPOINT)")
     retry = RetryPolicy(base_delay=args.base_delay, max_delay=args.max_delay,
                         jitter=args.jitter, max_attempts=args.max_attempts)
 
@@ -390,11 +373,7 @@ _REPORT_COLUMNS = ("model", "kind", "split", "n", "mARD %", "AvgE %",
 
 
 def _report_row(path: str) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as e:  # invalid JSON, invalid UTF-8, or too deep
-        raise DataError(f"report {path}: not valid JSON ({e})") from e
+    doc = _read_json_object(path, "report")
     try:
         m = doc["metrics"]
         pct = doc["ceg"]["percentages"]
@@ -466,7 +445,7 @@ def build_parser() -> _Parser:
                    metavar="C,V,T",
                    help="calibration,validation,test fractions (default 0.6,0.4,0.0)")
     s.add_argument("--id-prefix", default="sim")
-    s.set_defaults(func=cmd_simulate)
+    s.set_defaults(func=cmd_simulate, needs=("n", "out"))
 
     c = sub.add_parser("calibrate", parents=[common],
                        help="fit a model on the calibration split")
@@ -489,7 +468,7 @@ def build_parser() -> _Parser:
     c.add_argument("--max-iters", type=int)
     c.add_argument("--sse-tol", type=_finite)
     c.add_argument("--lambda0", type=_finite)
-    c.set_defaults(func=cmd_calibrate)
+    c.set_defaults(func=cmd_calibrate, needs=("train",))
 
     v = sub.add_parser("validate", parents=[common],
                        help="evaluate a model; write report JSON and SVG plots")
@@ -500,7 +479,7 @@ def build_parser() -> _Parser:
                    help="reference kind (default: the model's)")
     v.add_argument("--split", default="auto", choices=splits)
     v.add_argument("--group-by", choices=("sex", "mode"))
-    v.set_defaults(func=cmd_validate)
+    v.set_defaults(func=cmd_validate, needs=("model", "data", "out_dir"))
 
     q = sub.add_parser("predict", parents=[common],
                        help="predict glucose from three channel voltages")
@@ -518,7 +497,7 @@ def build_parser() -> _Parser:
     q.add_argument("--patient-id", default="anonymous")
     q.add_argument("--device-id", default="iglu-sim-0")
     q.add_argument("--timestamp", help="reading timestamp (default: now, UTC)")
-    q.set_defaults(func=cmd_predict)
+    q.set_defaults(func=cmd_predict, needs=("model", "v1", "v2", "v3"))
 
     y = sub.add_parser("sync", parents=[common],
                        help="upload queued readings to the endpoint")
@@ -531,14 +510,14 @@ def build_parser() -> _Parser:
     y.add_argument("--jitter", type=_finite, default=0.1)
     y.add_argument("--timeout", type=_finite, default=10.0)
     y.add_argument("--seed", type=_seed, default=0, help="retry jitter seed")
-    y.set_defaults(func=cmd_sync)
+    y.set_defaults(func=cmd_sync, needs=("queue", "endpoint"))
 
     r = sub.add_parser("report", parents=[common],
                        help="render a comparison table from report JSONs")
     r.add_argument("reports", nargs="+", metavar="REPORT_JSON")
     r.add_argument("--format", default="md", choices=("md", "csv"))
     r.add_argument("--out", help="write the table here instead of stdout")
-    r.set_defaults(func=cmd_report)
+    r.set_defaults(func=cmd_report, needs=())
 
     return p
 
@@ -552,12 +531,19 @@ def main(argv=None) -> int:
             print("glucokit: a COMMAND is required", file=sys.stderr)
             return 1
         # parse again with config, then env, values as the command's defaults
-        config = _load_flag_config(args.config)
+        config = {} if args.config is None else _read_json_object(args.config, "config")
         env = {flag: os.environ[var]
                for var, flag in ENV_FLAGS.items() if var in os.environ}
         commands = next(a for a in parser._actions if a.dest == "command").choices
         _layer_defaults(commands[args.command], config, env)
         args = parser.parse_args(argv)
+        # flags without which a command cannot run; checked here rather than
+        # with required=True, which would refuse a value layered in above
+        env_of = {flag: f" (or {var})" for var, flag in ENV_FLAGS.items()}
+        missing = [f"--{flag.replace('_', '-')}{env_of.get(flag, '')}"
+                   for flag in args.needs if getattr(args, flag) is None]
+        if missing:
+            raise UsageError(f"missing required {', '.join(missing)}")
         return args.func(args, config)
     except UsageError as e:
         print(f"glucokit: usage error: {e}", file=sys.stderr)

@@ -129,15 +129,13 @@ class Dataset:
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise DataError(f"duplicate sample id {dup!r}")
-        known = set(ids)
+        by_id = dict(zip(ids, self.samples))
         for sid, label in self.split_labels.items():
-            if sid not in known:
+            s = by_id.get(sid)
+            if s is None:
                 raise DataError(f"split label refers to unknown sample id {sid!r}")
             if label not in SPLITS:
                 raise DataError(f"invalid split label {label!r} for sample {sid!r}")
-        by_id = {s.id: s for s in self.samples}
-        for sid, label in self.split_labels.items():
-            s = by_id[sid]
             if label in ("calibration", "validation") and not s.has_reference():
                 raise DataError(
                     f"sample {sid!r} is labeled {label} but carries no reference glucose"

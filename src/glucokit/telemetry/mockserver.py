@@ -2,7 +2,8 @@
 
 Serves the real wire protocol (POST /v1/readings) plus a /control surface for
 tests: fail-next (503s), reject-next (400s), drop-next (connection cut with no
-response), latency (per-request delay), store inspection, and reset. A reading
+response) and store inspection. Latency, alternating 503s and reset are set in
+process, through faults and reset(). A reading
 is checked by ReadingRecord.from_wire, the upload queue's own rule, and one it
 refuses gets a 400 with its message. Runs a ThreadingHTTPServer on localhost
 in a daemon thread.
@@ -175,15 +176,6 @@ def _make_handler(owner: MockEndpoint):
 
         def _control(self, body: dict):
             name = self.path[len("/control/"):]
-            if name == "reset":
-                owner.reset()
-                return self._reply(200, {"ok": True})
-            if name == "latency":
-                owner.faults["latency"] = float(body.get("seconds", 0.0))
-                return self._reply(200, {"ok": True})
-            if name == "fail-every-other":
-                owner.faults["every_other"] = bool(body.get("enabled", True))
-                return self._reply(200, {"ok": True})
             key = name.replace("-", "_")
             if key in _CONTROL_COUNTERS:
                 owner.faults[key] += int(body.get("count", 1))

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import fcntl
 import json
-import operator
 import os
 import re
 import threading
@@ -77,8 +76,8 @@ _scan = json.JSONDecoder().scan_once
 
 def _check_text_fields(get, source) -> None:
     """The rules on a record's string fields, shared by the constructor
-    (getattr on the record) and the check of settled queue.log lines
-    (operator.getitem on the wire dict); get(source, name) reads a field."""
+    (getattr: vars() would build each record a __dict__) and the settled
+    queue.log line check (dict.__getitem__ on the wire dict)."""
     for name in _ID_FIELDS:
         v = get(source, name)
         if not isinstance(v, str) or not v:
@@ -255,7 +254,7 @@ class UploadQueue:
         if isinstance(rid, str) and (rid in self._acked or rid in self._dead):
             # settled: held to the record's rules, but no record is built
             _wire_glucose(d)
-            _check_text_fields(operator.getitem, d)
+            _check_text_fields(dict.__getitem__, d)
         else:
             self._pending[rid] = ReadingRecord.from_wire(d)
         self._ids.add(rid)
