@@ -25,6 +25,9 @@ GLUCOSE_MAX_MGDL = 420.0
 # most raw samples averaged per channel, 64 times the instrument's 1024;
 # simulate_sample checks it before drawing, so one draw is at most 512 KB
 MAX_N_RAW = 65_536
+# most samples in one dataset; generate_dataset checks it before the first, and
+# a sample takes about 0.9 KB in memory, so a dataset takes at most about 90 MB
+MAX_SAMPLES = 100_000
 
 
 class _ConfigSection:
@@ -215,8 +218,8 @@ def generate_dataset(
     from the same seeded stream, so the whole Dataset is a function of
     (n, range, configs).
     """
-    if n < 1:
-        raise DataError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise DataError(f"n must be in [1, {MAX_SAMPLES}], got {n}")
     lo, hi = float(glucose_range[0]), float(glucose_range[1])
     if not (GLUCOSE_MIN_MGDL <= lo <= hi <= GLUCOSE_MAX_MGDL):
         raise DataError(

@@ -36,18 +36,21 @@ from .data import (
     GLUCOSE_KINDS,
     GlucoseValue,
     export_csv,
+    json_reader,
     load_csv,
     split_dataset,
 )
 from .errors import DataError, NetworkError, SolverError
 from .evaluation import (
     ZONES,
+    MetricsReport,
     ceg_analyze,
     group_readings,
     metrics_report,
     paired_readings,
 )
 from .regressors import FAMILIES, MODEL_SPECS, fit_model, load_model, save_model
+from .regressors.dnn import MAX_HIDDEN_LAYERS, MAX_WIDTH
 from .telemetry import ReadingRecord, RetryPolicy, UploadQueue, sync as run_sync
 
 # environment variable -> the flag it supplies, in each command that has the flag
@@ -147,8 +150,9 @@ def _parse_depths(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"wants N or A..B, got {text!r}")
     lo = int(m.group(1))
     hi = int(m.group(2)) if m.group(2) else lo
-    if lo < 1 or hi < lo:
-        raise argparse.ArgumentTypeError(f"wants 1 <= A <= B, got {text!r}")
+    if not 1 <= lo <= hi <= MAX_HIDDEN_LAYERS:  # before range() builds the list
+        raise argparse.ArgumentTypeError(
+            f"wants 1 <= A <= B <= {MAX_HIDDEN_LAYERS}, got {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -374,19 +378,24 @@ _REPORT_COLUMNS = ("model", "kind", "split", "n", "mARD %", "AvgE %",
 
 def _report_row(path: str) -> list[str]:
     doc = _read_json_object(path, "report")
+
+    def field(dotted: str, hint):
+        value = doc
+        for key in dotted.split("."):
+            value = value[key]
+        return json_reader(hint, dotted)(value)
+
     try:
-        m = doc["metrics"]
-        pct = doc["ceg"]["percentages"]
+        m = field("metrics", MetricsReport)  # written as asdict(MetricsReport)
         return [
-            doc["model"]["spec"], doc["kind"], doc["data"]["split"],
-            str(doc["data"]["n"]),
-            f"{m['mard_pct']:.3f}", f"{m['avge_pct']:.3f}",
-            f"{m['mad_mgdl']:.3f}", f"{m['rmse_mgdl']:.3f}",
-            f"{m['r_pearson']:.5f}",
-        ] + [f"{pct[z]:.1f}" for z in ZONES]
+            field("model.spec", str), field("kind", str), field("data.split", str),
+            str(field("data.n", int)),
+            f"{m.mard_pct:.3f}", f"{m.avge_pct:.3f}", f"{m.mad_mgdl:.3f}",
+            f"{m.rmse_mgdl:.3f}", f"{m.r_pearson:.5f}",
+        ] + [f"{field(f'ceg.percentages.{z}', float):.1f}" for z in ZONES]
     except KeyError as e:
         raise DataError(f"report {path}: missing field {e}") from e
-    except (TypeError, ValueError) as e:  # a field of the wrong type, e.g. text metrics
+    except (TypeError, DataError) as e:  # a field of the wrong type, e.g. text metrics
         raise DataError(f"report {path}: malformed field ({e})") from e
 
 
@@ -428,7 +437,8 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("simulate", parents=[common],
                        help="generate a synthetic dataset CSV")
-    s.add_argument("--n", type=int, help="number of samples")
+    s.add_argument("--n", type=int,
+                   help=f"number of samples (at most {acquisition.MAX_SAMPLES})")
     s.add_argument("--seed", type=_seed)
     s.add_argument("--out", help="output CSV path")
     s.add_argument("--range", type=_numbers(2, ":"), default="60:340", metavar="LO:HI",
@@ -463,8 +473,10 @@ def build_parser() -> _Parser:
     c.add_argument("--svr-eps", type=_finite, help="svr: tube half-width")
     c.add_argument("--svr-c", type=_finite, help="svr: box constraint")
     c.add_argument("--hidden-layers", type=_parse_depths, metavar="N|A..B",
-                   help="dnn: depth, or an inclusive sweep like 1..10")
-    c.add_argument("--width", type=int, help="dnn: neurons per layer")
+                   help="dnn: depth, or an inclusive sweep like 1..10 "
+                        f"(at most {MAX_HIDDEN_LAYERS})")
+    c.add_argument("--width", type=int,
+                   help=f"dnn: neurons per layer (at most {MAX_WIDTH})")
     c.add_argument("--max-iters", type=int)
     c.add_argument("--sse-tol", type=_finite)
     c.add_argument("--lambda0", type=_finite)

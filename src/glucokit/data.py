@@ -97,6 +97,8 @@ class Sample:
     def __post_init__(self):
         if not self.id:
             raise DataError("sample id must be a non-empty string")
+        if self.id != self.id.strip():  # load_csv strips every cell
+            raise DataError(f"sample id must not start or end with whitespace, got {self.id!r}")
         if self.capillary is not None and self.capillary.kind != "capillary":
             raise DataError(f"capillary reference has kind {self.capillary.kind!r}")
         if self.serum is not None and self.serum.kind != "serum":

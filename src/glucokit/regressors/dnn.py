@@ -21,6 +21,11 @@ from .base import FamilyModel, Prediction, Standardizer, design_arrays, usable_s
 
 LAMBDA_LIMIT = 1e10
 LAMBDA_STEP = 10.0
+# the largest network DnnTrainConfig accepts, twice the default depth and five
+# times its width: at most 48,701 parameters, so the LM Jacobian holds at most
+# 390 KB per training row; checked before init_theta allocates anything
+MAX_HIDDEN_LAYERS = 20
+MAX_WIDTH = 50
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -40,8 +45,9 @@ class DnnTrainConfig:
     sse_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.hidden_layers < 1 or self.width < 1:
-            raise DataError("hidden_layers and width must be >= 1")
+        if not 1 <= self.hidden_layers <= MAX_HIDDEN_LAYERS or not 1 <= self.width <= MAX_WIDTH:
+            raise DataError(f"hidden_layers must be in [1, {MAX_HIDDEN_LAYERS}] and width "
+                            f"in [1, {MAX_WIDTH}], got {self.hidden_layers} and {self.width}")
         for name in ("lambda0", "sse_tol"):
             if getattr(self, name) <= 0:
                 raise DataError(f"{name} must be > 0")

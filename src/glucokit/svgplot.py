@@ -8,7 +8,7 @@ can count points straight out of the XML.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class _Canvas:
             f'viewBox="0 0 {_W} {_H}">',
             f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
             f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-size="16" font-family="sans-serif">{escape(title)}</text>',
+            f'font-size="16" font-family="sans-serif">{escape(title, quote=False)}</text>',
         ]
         self._frame(xlabel, ylabel, ticks)
 
@@ -84,12 +84,12 @@ class _Canvas:
             )
         self.parts.append(
             f'<text x="{(x0 + x1) / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
-            f'font-size="13" font-family="sans-serif">{escape(xlabel)}</text>'
+            f'font-size="13" font-family="sans-serif">{escape(xlabel, quote=False)}</text>'
         )
         self.parts.append(
             f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" font-size="13" '
             f'font-family="sans-serif" transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">'
-            f'{escape(ylabel)}</text>'
+            f'{escape(ylabel, quote=False)}</text>'
         )
 
     def line(self, x1, y1, x2, y2, color="black", dash: str | None = None) -> None:
@@ -109,7 +109,8 @@ class _Canvas:
     def label(self, text, x, y, size=15, color="#444444") -> None:
         self.parts.append(
             f'<text x="{self.px(x):.1f}" y="{self.py(y):.1f}" text-anchor="middle" '
-            f'font-size="{size}" font-family="sans-serif" fill="{color}">{escape(text)}</text>'
+            f'font-size="{size}" font-family="sans-serif" fill="{color}">'
+            f'{escape(text, quote=False)}</text>'
         )
 
     def bar(self, x, y, w, h) -> None:

@@ -141,7 +141,7 @@ def _make_handler(owner: MockEndpoint):
             if self.path == "/v1/readings":
                 return self._post_reading(body)
             if self.path.startswith("/control/"):
-                return self._control(body or {})
+                return self._control(body)
             self._reply(404, {"error": f"no such path {self.path}"})
 
         def do_GET(self):
@@ -174,11 +174,15 @@ def _make_handler(owner: MockEndpoint):
             owner.accept(body)
             self._reply(200, {"ack": body["reading_id"]})
 
-        def _control(self, body: dict):
+        def _control(self, body: dict | None):
             name = self.path[len("/control/"):]
+            count = body.get("count", 1) if type(body) is dict else None
+            if type(count) is not int or count < 0:
+                return self._reply(400, {"error": "body must be a JSON object whose "
+                                                  "count is an integer >= 0"})
             key = name.replace("-", "_")
             if key in _CONTROL_COUNTERS:
-                owner.faults[key] += int(body.get("count", 1))
+                owner.faults[key] += count
                 return self._reply(200, {"ok": True})
             self._reply(404, {"error": f"no such control {name!r}"})
 

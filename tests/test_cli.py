@@ -7,9 +7,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from glucokit.acquisition import MAX_SAMPLES
 from glucokit.cli import main
 from glucokit.data import ChannelVoltages, Dataset, GlucoseValue, Sample, export_csv, load_csv
-from glucokit.regressors import load_model
+from glucokit.errors import DataError
+from glucokit.regressors import dnn as dnn_module, fit_model, load_model
+from glucokit.regressors.dnn import MAX_HIDDEN_LAYERS, MAX_WIDTH
 from glucokit.telemetry import MockEndpoint, UploadQueue
 
 
@@ -551,3 +554,90 @@ class TestTopLevel:
         rc, _, err = run(argv)
         assert rc == 2 and err.startswith("glucokit: data error")
         assert str(bad) in err and err.count("\n") == 1
+
+
+class TestRequiredFlags:
+    def test_every_missing_flag_is_named_once(self):
+        rc, out, err = run(["validate"])
+        assert (rc, out) == (1, "")
+        assert err == "glucokit: usage error: missing required --model, --data, --out-dir\n"
+
+    def test_env_supplies_a_required_flag(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GLUCOKIT_QUEUE_DIR", str(tmp_path / "q"))
+        monkeypatch.delenv("GLUCOKIT_ENDPOINT", raising=False)
+        rc, _, err = run(["sync"])
+        assert rc == 1 and "--endpoint (or GLUCOKIT_ENDPOINT)" in err
+        assert "--queue" not in err
+
+
+class TestReportFieldTypes:
+    @pytest.mark.parametrize("path, value, message", [
+        (("model", "spec"), {"a": 1}, "model.spec: wants a string"),
+        (("kind",), [1], "kind: wants a string"),
+        (("data", "split"), {"x": 1}, "data.split: wants a string"),
+        (("metrics", "mard_pct"), True, "metrics.mard_pct: wants a number"),
+        (("metrics", "n"), 2.5, "metrics.n: wants an integer"),
+        (("data", "n"), "lots", "data.n: wants an integer"),
+        (("ceg", "percentages", "A"), True, "ceg.percentages.A: wants a number"),
+        (("metrics", "extra"), 1, "metrics: unknown keys ['extra']"),
+        (("metrics",), [1], "metrics: wants an object"),
+    ], ids=["spec-object", "kind-array", "split-object", "metric-true", "metrics-n-float",
+            "n-text", "zone-true", "metrics-extra-key", "metrics-array"])
+    def test_mistyped_field_exits_2_naming_it(self, tmp_path, report_json, path, value, message):
+        doc = json.loads(report_json.read_text())
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc, out, err = run(["report", str(bad)])
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and "malformed field" in err and message in err
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        rc, out, err = run(["report", str(bad)])
+        assert (rc, out) == (2, "")
+        assert err == f"glucokit: data error: report {bad}: top level must be a JSON object\n"
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10 ** 20])
+    def test_simulate_n(self, tmp_path, n):
+        out_path = tmp_path / "d.csv"
+        rc, out, err = run(["simulate", "--n", str(n), "--out", str(out_path)])
+        assert (rc, out) == (2, "")
+        assert f"n must be in [1, {MAX_SAMPLES}]" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("depths", [
+        str(MAX_HIDDEN_LAYERS + 1), f"1..{MAX_HIDDEN_LAYERS + 1}", f"1..{10 ** 20}",
+        str(10 ** 20),
+    ])
+    def test_calibrate_hidden_layers(self, workspace, depths):
+        rc, out, err = run(["calibrate", "--train", str(workspace["data"]),
+                            "--model", "dnn", "--hidden-layers", depths])
+        assert (rc, out) == (1, "")
+        assert f"<= {MAX_HIDDEN_LAYERS}" in err
+
+    @pytest.mark.parametrize("width", [MAX_WIDTH + 1, 10 ** 20])
+    def test_calibrate_width(self, workspace, width):
+        rc, out, err = run(["calibrate", "--train", str(workspace["data"]),
+                            "--model", "dnn", "--width", str(width)])
+        assert (rc, out) == (2, "")
+        assert f"width in [1, {MAX_WIDTH}]" in err
+
+    @pytest.mark.parametrize("options", [
+        {"hidden_layers": MAX_HIDDEN_LAYERS + 1}, {"hidden_layers": 10 ** 20},
+        {"width": MAX_WIDTH + 1}, {"width": 10 ** 20},
+    ])
+    def test_fit_refuses_before_init_theta(self, monkeypatch, dataset_factory, options):
+        def no_init(*args):
+            raise AssertionError("allocated parameters before checking the size")
+
+        monkeypatch.setattr(dnn_module, "init_theta", no_init)
+        with pytest.raises(DataError, match="hidden_layers must be in"):
+            fit_model("dnn", dataset_factory(n=30), "capillary", **options)

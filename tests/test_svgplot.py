@@ -1,5 +1,8 @@
 """The SVG plots must be well-formed and mark every reading."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 from glucokit.evaluation import PairedReadings, ceg_analyze, ceg_zone
@@ -61,3 +64,24 @@ class TestHistogram:
         p = PairedReadings(refs=(100.0, 550.0), preds=(90.0, 560.0))
         svg = scatter_svg(p)
         assert "600" in svg  # axis extends beyond the default 400 ceiling
+
+
+def test_import_loads_no_network_or_xml_modules():
+    # the plots need no network or XML library; xml.sax.saxutils alone
+    # imports urllib.request, http.client and email
+    code = ("import sys, glucokit.svgplot; "
+            "print(sorted(m for m in ('xml.sax.saxutils', 'urllib.request', "
+            "'http.client', 'email') if m in sys.modules))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_text_is_escaped():
+    svg = scatter_svg(sample_pairs(), title='a < b & "c" > \'d\'')
+    assert "a &lt; b &amp; \"c\" &gt; 'd'" in svg
+    ET.fromstring(svg)

@@ -1003,3 +1003,40 @@ class TestMockEndpointRecordRule:
             conn.close()
         assert reply == (400, {"error": str(refused.value)})
         assert endpoint.snapshot()["count"] == 0
+
+
+class TestControlBodies:
+    @pytest.mark.parametrize("path, body", [
+        ("/control/latency", "[1, 2]"),
+        ("/control/fail-next", '"x"'),
+        ("/control/fail-next", '{"count": "two"}'),
+        ("/control/reject-next", '{"count": true}'),
+        ("/control/drop-next", '{"count": -1}'),
+        ("/control/fail-next", "not json"),
+    ], ids=["array", "string", "text-count", "true-count", "negative-count", "not-json"])
+    def test_bad_body_is_400_and_keeps_the_connection(self, endpoint, path, body):
+        before = dict(endpoint.faults)
+        host, port = endpoint.url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            conn.request("POST", path, body, {"Content-Type": "application/json"})
+            with conn.getresponse() as resp:
+                assert resp.status == 400
+                assert "count" in json.loads(resp.read())["error"]
+            conn.request("GET", "/control/store")  # same connection, still served
+            with conn.getresponse() as resp:
+                assert resp.status == 200 and json.loads(resp.read())["count"] == 0
+        finally:
+            conn.close()
+        assert endpoint.faults == before
+
+    def test_count_defaults_to_one(self, endpoint):
+        host, port = endpoint.url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            conn.request("POST", "/control/reject-next", "{}")
+            with conn.getresponse() as resp:
+                assert resp.status == 200 and json.loads(resp.read()) == {"ok": True}
+        finally:
+            conn.close()
+        assert endpoint.faults["reject_next"] == 1
