@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
-from .data import Dataset, ChannelVoltages, GlucoseValue, Sample, MODES, SEXES, json_reader
+from .data import (Checked, ChannelVoltages, Dataset, GlucoseValue, MODES, Rule, SEXES, Sample,
+                   json_reader)
 from .errors import DataError
 
 GLUCOSE_MIN_MGDL = 40.0
@@ -41,22 +42,14 @@ class _ConfigSection:
 
 
 @dataclass(frozen=True)
-class AdcConfig(_ConfigSection):
+class AdcConfig(_ConfigSection, Checked):
     """Analog-to-digital converter geometry."""
 
     section: ClassVar[str] = "adc"
 
-    bits: int = 16
-    sample_rate_hz: float = 128.0
-    fsr_mv: float = 5000.0
-
-    def __post_init__(self):
-        if not isinstance(self.bits, int) or not 8 <= self.bits <= 24:
-            raise DataError(f"adc bits must be an integer in [8, 24], got {self.bits!r}")
-        if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
-            raise DataError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz!r}")
-        if not (self.fsr_mv > 0 and math.isfinite(self.fsr_mv)):
-            raise DataError(f"fsr_mv must be > 0, got {self.fsr_mv!r}")
+    bits: Annotated[int, Rule(ge=8, le=24)] = 16
+    sample_rate_hz: Annotated[float, Rule(gt=0)] = 128.0
+    fsr_mv: Annotated[float, Rule(gt=0)] = 5000.0
 
     @property
     def lsb_mv(self) -> float:
@@ -68,7 +61,7 @@ class AdcConfig(_ConfigSection):
 
 
 @dataclass(frozen=True)
-class ForwardModelConfig(_ConfigSection):
+class ForwardModelConfig(_ConfigSection, Checked):
     """Parameters of the optical transfer model v_i = b_i * exp(-k_i * g).
 
     Baselines are the zero-glucose detector voltages; k is the per-channel
@@ -78,24 +71,15 @@ class ForwardModelConfig(_ConfigSection):
 
     section: ClassVar[str] = "forward_model"
 
-    baselines_mv: tuple[float, float, float] = (3000.0, 2600.0, 2200.0)
-    k_per_mgdl: tuple[float, float, float] = (0.0016, 0.0011, 0.0007)
-    noise_sd_mv: float = 6.0
-    seed: int = 0
+    baselines_mv: Annotated[tuple[float, float, float], Rule(gt=0)] = (3000.0, 2600.0, 2200.0)
+    k_per_mgdl: Annotated[tuple[float, float, float], Rule(gt=0)] = (0.0016, 0.0011, 0.0007)
+    noise_sd_mv: Annotated[float, Rule(ge=0)] = 6.0
+    seed: Annotated[int, Rule(ge=0)] = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.baselines_mv) != 3 or len(self.k_per_mgdl) != 3:
             raise DataError("forward model needs exactly 3 baselines and 3 k values")
-        for b in self.baselines_mv:
-            if not (math.isfinite(b) and b > 0):
-                raise DataError(f"baseline must be finite and > 0 mV, got {b!r}")
-        for k in self.k_per_mgdl:
-            if not (math.isfinite(k) and k > 0):
-                raise DataError(f"attenuation k must be finite and > 0, got {k!r}")
-        if not (math.isfinite(self.noise_sd_mv) and self.noise_sd_mv >= 0):
-            raise DataError(f"noise_sd_mv must be >= 0, got {self.noise_sd_mv!r}")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
 
     def mean_voltages(self, glucose_mgdl: float) -> np.ndarray:
         b = np.asarray(self.baselines_mv)
@@ -113,20 +97,16 @@ class ForwardModelConfig(_ConfigSection):
 
 
 @dataclass(frozen=True)
-class RawChannelTrace:
+class RawChannelTrace(Checked):
     """Raw (pre-averaging) voltage samples from one detector channel."""
 
     samples_mv: tuple[float, ...]
-    channel: int
+    channel: Annotated[int, Rule(choices=(1, 2, 3))]
 
     def __post_init__(self):
-        if self.channel not in (1, 2, 3):
-            raise DataError(f"channel must be 1, 2 or 3, got {self.channel!r}")
+        super().__post_init__()
         if len(self.samples_mv) < 1:
             raise DataError("trace must contain at least one sample")
-        arr = np.asarray(self.samples_mv, dtype=float)
-        if not np.isfinite(arr).all():
-            raise DataError("trace contains non-finite samples")
 
 
 def coherent_average(trace: RawChannelTrace) -> float:

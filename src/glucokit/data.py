@@ -19,9 +19,12 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+import re
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from itertools import chain
-from typing import Callable, get_args, get_origin, get_type_hints
+from types import NoneType, UnionType
+from typing import Annotated, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,22 +40,99 @@ CSV_HEADER = (
     "mode", "sex", "age", "split",
 )
 
+# a leaf type -> the types its values take in a field or in JSON, its name, its plural
+_LEAVES = {float: ({float, int, np.float64}, "a number", "numbers"),
+           int: ({int}, "an integer", "integers"), str: ({str}, "a string", "strings"),
+           NoneType: ({NoneType}, "null", "nulls")}
+
 
 @dataclass(frozen=True)
-class ChannelVoltages:
-    """Detector output voltages in millivolts, one per optical channel."""
+class Rule:
+    """What a field's value must be beyond its type, declared on the field as
+    Annotated[type, Rule(...)]; on a tuple field it holds for each item. says,
+    if given, is the refusal, formatted with {name} and {v}, the value."""
 
-    ch1_mv: float
-    ch2_mv: float
-    ch3_mv: float
+    ge: float | None = None
+    gt: float | None = None
+    le: float | None = None
+    choices: tuple | None = None
+    pattern: str | None = None  # the whole string must match
+    nonempty: bool = False
+    says: str | None = None
+
+
+@functools.cache
+def _compile(cls) -> Callable:
+    """cls's check, written from the rules on its leaf fields (a float, int or
+    str, maybe None, or a flat tuple of one) as one function, as dataclasses
+    writes __init__: straight code costs a reading less than a loop over
+    rules. A float lies within +-sys.float_info.max, which NaN, the
+    infinities and ints beyond float range all fail."""
+    hints = get_type_hints(cls, include_extras=True)
+    lines, scope = ["def check(obj):", "    pass"], {"refuse": _refuse}
+    for f in fields(cls):
+        hint, *rules = get_args(h) if get_origin(h := hints[f.name]) is Annotated else (h,)
+        many = get_origin(hint) is tuple
+        item = get_args(hint)[0] if many else hint
+        kinds = set(get_args(item)) if isinstance(item, UnionType) else {item}
+        if not kinds <= _LEAVES.keys():
+            continue  # a nested dataclass checks itself; nested tuples are checked by hand
+        (leaf,), nullable = kinds - {NoneType}, NoneType in kinds
+        for r in rules or [Rule()]:
+            i, edge = len(scope), sys.float_info.max if leaf is float else math.inf
+            lo = (-edge if r.ge is None else r.ge) if r.gt is None else \
+                math.nextafter(r.gt, math.inf)  # v > gt, for an int too
+            asks = [f"{op} {x}" for op, x in (
+                (">=", r.ge), (">", r.gt), ("<=", r.le), ("one of", r.choices),
+                ("a match of", r.pattern)) if x is not None] + ["non-empty"] * r.nonempty
+            asks[:2] = [f"in [{r.ge}, {r.le}]"] if None not in (r.ge, r.le) else asks[:2]
+            asks = " and ".join(asks) or "a tuple of " * many + _LEAVES[leaf][1 + many]
+            asks = asks.replace("number", "finite number").replace("{", "{{").replace("}", "}}")
+            says = r.says or f"{{name}} must be {asks}{' or None' * nullable}, got {{v}}"
+            hi = edge if r.le is None else r.le
+            scope.update({f"t{i}": _LEAVES[leaf][0], f"lo{i}": lo, f"hi{i}": hi,
+                          f"c{i}": r.choices and frozenset(r.choices),
+                          f"m{i}": r.pattern and re.compile(r.pattern).fullmatch,
+                          f"s{i}": functools.partial(says.format, name=f.name)})
+            ok = [f"type(v) in t{i}", f"lo{i} <= v <= hi{i}" * (leaf is not str), "v" * r.nonempty,
+                  f"v in c{i}" * bool(r.choices), f"m{i}(v)" * bool(r.pattern)]
+            ok = "v is None or " * nullable + f"({' and '.join(filter(None, ok))})"
+            get, tab = f"obj.{f.name}", "    " * many
+            lines += [f"    if type({get}) is not tuple: refuse({get}, s{i})\n    for v in {get}:"
+                      if many else f"    v = {get}"]
+            lines += [f"    {tab}if not ({ok}):", f"    {tab}    refuse(v, s{i})"]
+    exec("\n".join(lines), scope)
+    return scope["check"]
+
+
+def _refuse(v, says: Callable) -> None:
+    """Raise says(v=...), v shown by repr, or by its size if an int of over 128 bits."""
+    big = type(v) is int and v.bit_length() > 128
+    raise DataError(says(v=f"an integer of {v.bit_length()} bits" if big else repr(v)))
+
+
+class Checked:
+    """Base of a dataclass whose declared field rules are checked on
+    construction; the DataError names the first field that breaks one. A
+    subclass with rules across fields extends __post_init__."""
 
     def __post_init__(self):
-        for name in ("ch1_mv", "ch2_mv", "ch3_mv"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise DataError(f"{name} must be a finite number, got {v!r}")
-            if v < 0:
-                raise DataError(f"{name} must be >= 0 mV, got {v}")
+        _compile(type(self))(self)
+
+
+# a reading's glucose kind, as every record and model document names it
+GlucoseKind = Annotated[str, Rule(choices=GLUCOSE_KINDS,
+                                  says=f"glucose_kind must be one of {GLUCOSE_KINDS}, got {{v}}")]
+_Millivolts = Annotated[float, Rule(ge=0, says="{name} must be >= 0 mV, got {v}")]
+
+
+@dataclass(frozen=True)
+class ChannelVoltages(Checked):
+    """Detector output voltages in millivolts, one per optical channel."""
+
+    ch1_mv: _Millivolts
+    ch2_mv: _Millivolts
+    ch3_mv: _Millivolts
 
     def as_array(self) -> np.ndarray:
         return np.array([self.ch1_mv, self.ch2_mv, self.ch3_mv], dtype=float)
@@ -68,47 +148,35 @@ class ChannelVoltages:
 
 
 @dataclass(frozen=True)
-class GlucoseValue:
+class GlucoseValue(Checked):
     """A reference or predicted glucose concentration in mg/dl."""
 
-    value_mgdl: float
-    kind: str  # "capillary" or "serum"
-
-    def __post_init__(self):
-        if self.kind not in GLUCOSE_KINDS:
-            raise DataError(f"glucose kind must be one of {GLUCOSE_KINDS}, got {self.kind!r}")
-        v = self.value_mgdl
-        if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
-            raise DataError(f"glucose value must be finite and > 0 mg/dl, got {v!r}")
+    value_mgdl: Annotated[float, Rule(gt=0, says="glucose value must be finite and > 0 mg/dl, "
+                                                  "got {v}")]
+    kind: GlucoseKind
 
 
 @dataclass(frozen=True)
-class Sample:
+class Sample(Checked):
     """One measurement: channel voltages plus reference value(s) and demographics."""
 
-    id: str
+    id: Annotated[str, Rule(nonempty=True, says="sample id must be a non-empty string")]
     voltages: ChannelVoltages
     capillary: GlucoseValue | None = None
     serum: GlucoseValue | None = None
-    mode: str | None = None
-    sex: str = "unspecified"
-    age_years: int | None = None
+    mode: Annotated[str | None, Rule(choices=MODES)] = None
+    sex: Annotated[str, Rule(choices=SEXES)] = "unspecified"
+    age_years: Annotated[int | None, Rule(
+        ge=0, says="{name} must be a non-negative integer, got {v}")] = None
 
     def __post_init__(self):
-        if not self.id:
-            raise DataError("sample id must be a non-empty string")
+        super().__post_init__()
         if self.id != self.id.strip():  # load_csv strips every cell
             raise DataError(f"sample id must not start or end with whitespace, got {self.id!r}")
         if self.capillary is not None and self.capillary.kind != "capillary":
             raise DataError(f"capillary reference has kind {self.capillary.kind!r}")
         if self.serum is not None and self.serum.kind != "serum":
             raise DataError(f"serum reference has kind {self.serum.kind!r}")
-        if self.mode is not None and self.mode not in MODES:
-            raise DataError(f"mode must be one of {MODES} or None, got {self.mode!r}")
-        if self.sex not in SEXES:
-            raise DataError(f"sex must be one of {SEXES}, got {self.sex!r}")
-        if self.age_years is not None and (not isinstance(self.age_years, int) or self.age_years < 0):
-            raise DataError(f"age_years must be a non-negative integer, got {self.age_years!r}")
 
     def reference(self, kind: str) -> GlucoseValue | None:
         if kind not in GLUCOSE_KINDS:
@@ -163,35 +231,34 @@ class Dataset:
         return Dataset(self.samples, dict(labels))
 
 
-# a leaf type read from JSON -> the JSON types it takes, its name, its plural
-_JSON_LEAVES = {float: ({int, float}, "a number", "numbers"), int: ({int}, "an integer", "integers"),
-                str: ({str}, "a string", "strings"), type(None): ({type(None)}, "null", "nulls")}
-
-
 @functools.cache
 def json_reader(hint, where: str) -> Callable:
     """The one reader from decoded JSON to a value typed hint, for model
-    documents and simulator configs; where names the value in errors. A
-    dataclass is an object: unknown keys are refused, missing ones take the
-    field default. A tuple hint n deep is n levels of arrays. Each leaf has
-    its hint's JSON type (true and "0.25" are not numbers), and a number reads
-    as a float. Arrays are checked a level at a time at C speed, since every
-    model load runs this. Anything else is a DataError."""
+    documents, configs and reports; where names the value in errors. A
+    dataclass is an object: unknown keys are refused, and a missing key takes
+    its field's default or, if it has none, is a KeyError naming where.key. A
+    tuple hint n deep is n levels of arrays. Each leaf has its hint's JSON
+    type (true and "0.25" are not numbers), and a number reads as a float.
+    Arrays are checked a level at a time at C speed, since every model load
+    runs this. Anything else is a DataError."""
     if is_dataclass(hint):
         hints = get_type_hints(hint)
         readers = {f.name: json_reader(hints[f.name], f"{where}.{f.name}") for f in fields(hint)}
+        required = [f.name for f in fields(hint) if f.default is MISSING is f.default_factory]
 
         def read_object(v, **given):
             if type(v) is not dict:
                 raise DataError(f"{where}: wants an object, got {v!r}")
             if v.keys() - readers:
                 raise DataError(f"{where}: unknown keys {sorted(v.keys() - readers)}")
+            if missing := [k for k in required if k not in v and k not in given]:
+                raise KeyError(f"{where}.{missing[0]}")
             return hint(**{k: readers[k](x) for k, x in v.items()}, **given)
         return read_object
     depth = 0
     while get_origin(hint) is tuple:
         hint, depth = get_args(hint)[0], depth + 1
-    leaves = [_JSON_LEAVES[t] for t in get_args(hint) or (hint,)]
+    leaves = [_LEAVES[t] for t in get_args(hint) or (hint,)]
     kinds = set().union(*(k for k, *_ in leaves))
     wants = ("an array of " * (depth > 0) + "arrays of " * (depth - 1)
              + " or ".join(names[depth > 0] for _, *names in leaves))

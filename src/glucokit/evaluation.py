@@ -10,35 +10,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .data import Dataset
+from .data import Checked, Dataset, Rule
 from .errors import DataError
 
 ZONES = ("A", "B", "C", "D", "E")
 
 
 @dataclass(frozen=True)
-class PairedReadings:
+class PairedReadings(Checked):
     """Aligned (reference, predicted) glucose sequences in mg/dl."""
 
-    refs: tuple[float, ...]
-    preds: tuple[float, ...]
+    refs: Annotated[tuple[float, ...], Rule(
+        gt=0, says="reference glucose must be finite and > 0, got {v}")]
+    preds: Annotated[tuple[float, ...], Rule(says="predicted glucose must be finite, got {v}")]
     tags: tuple[dict, ...] | None = None  # optional per-point sex/mode/split
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.refs) != len(self.preds) or len(self.refs) < 1:
             raise DataError(
                 f"refs and preds must be equally long and non-empty, "
                 f"got {len(self.refs)} and {len(self.preds)}"
             )
-        for r in self.refs:
-            if not (math.isfinite(r) and r > 0):
-                raise DataError(f"reference glucose must be finite and > 0, got {r!r}")
-        for p in self.preds:
-            if not math.isfinite(p):
-                raise DataError(f"predicted glucose must be finite, got {p!r}")
         if self.tags is not None and len(self.tags) != len(self.refs):
             raise DataError("tags must align one-to-one with readings")
 

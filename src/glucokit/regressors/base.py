@@ -5,12 +5,12 @@ clamp) that every family runs through."""
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, fields, is_dataclass
+from typing import Annotated
 
 import numpy as np
 
-from ..data import ChannelVoltages, Dataset, Sample, json_reader
+from ..data import Checked, ChannelVoltages, Dataset, Rule, Sample, json_reader
 from ..errors import DataError
 
 CLAMP_LO_MGDL = 10.0
@@ -37,19 +37,11 @@ def clamp_glucose(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class Standardizer:
+class Standardizer(Checked):
     """Per-column z-score parameters, stored so models travel with their scaling."""
 
     means: tuple[float, ...]
-    stds: tuple[float, ...]
-
-    def __post_init__(self):
-        for s in self.stds:
-            if not (math.isfinite(s) and s > 0):
-                raise DataError(f"standardizer std must be > 0, got {s!r}")
-        for m in self.means:
-            if not math.isfinite(m):
-                raise DataError(f"standardizer mean must be finite, got {m!r}")
+    stds: Annotated[tuple[float, ...], Rule(gt=0)]
 
     @classmethod
     def fit(cls, columns: np.ndarray) -> "Standardizer":

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
-from ..data import ChannelVoltages, Dataset
+from ..data import Checked, ChannelVoltages, Dataset, Rule
 from ..errors import DataError, SolverError
 from .base import FamilyModel, Prediction, Standardizer, design_arrays, usable_samples
 
@@ -36,23 +36,19 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DnnTrainConfig:
+class DnnTrainConfig(Checked):
     hidden_layers: int = 10
     width: int = 10
-    seed: int = 0
-    lambda0: float = 1e-3
-    max_iters: int = 1000
-    sse_tol: float = 1e-10
+    seed: Annotated[int, Rule(ge=0)] = 0
+    lambda0: Annotated[float, Rule(gt=0)] = 1e-3
+    max_iters: Annotated[int, Rule(ge=1)] = 1000
+    sse_tol: Annotated[float, Rule(gt=0)] = 1e-10
 
     def __post_init__(self):
+        super().__post_init__()
         if not 1 <= self.hidden_layers <= MAX_HIDDEN_LAYERS or not 1 <= self.width <= MAX_WIDTH:
             raise DataError(f"hidden_layers must be in [1, {MAX_HIDDEN_LAYERS}] and width "
                             f"in [1, {MAX_WIDTH}], got {self.hidden_layers} and {self.width}")
-        for name in ("lambda0", "sse_tol"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"{name} must be > 0")
-        if self.max_iters < 1:
-            raise DataError("max_iters must be >= 1")
 
     def widths(self, n_inputs: int = 3) -> tuple[int, ...]:
         return (n_inputs, *([self.width] * self.hidden_layers), 1)

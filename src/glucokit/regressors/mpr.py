@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..data import ChannelVoltages, Dataset
+from ..data import Checked, ChannelVoltages, Dataset, GlucoseKind
 from ..errors import DataError, SolverError
 from .base import FamilyModel, Prediction, Standardizer
 from .features import N_FEATURES, feature_matrix
@@ -23,7 +23,7 @@ CONDITION_LIMIT = 1e10
 
 
 @dataclass(frozen=True)
-class Mpr3Model(FamilyModel):
+class Mpr3Model(FamilyModel, Checked):
     """Fitted cubic polynomial: 19 coefficients, intercept, input scaling."""
 
     family: ClassVar[str] = "mpr3"
@@ -36,13 +36,12 @@ class Mpr3Model(FamilyModel):
     coefficients: tuple[float, ...]
     intercept: float
     x_scaler: Standardizer
-    glucose_kind: str
+    glucose_kind: GlucoseKind
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.coefficients) != N_FEATURES:
             raise DataError(f"expected {N_FEATURES} coefficients, got {len(self.coefficients)}")
-        if not all(math.isfinite(c) for c in self.coefficients) or not math.isfinite(self.intercept):
-            raise DataError("model coefficients must be finite")
 
     @classmethod
     def fit(cls, Xs: np.ndarray, y: np.ndarray, seed: int = 0, *,

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
-from ..data import ChannelVoltages, Dataset
+from ..data import Checked, ChannelVoltages, Dataset, Rule
 from ..errors import DataError, SolverError
 from .base import FamilyModel, Prediction, Standardizer
 
@@ -34,20 +34,16 @@ MAX_SMO_ITERS = 100_000
 
 
 @dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(Checked):
     """Kernel family plus, for the Gaussian, its length scale."""
 
-    kind: str
-    scale: float | None = None
+    kind: Annotated[str, Rule(choices=KERNEL_KINDS)]
+    scale: Annotated[float | None, Rule(gt=0)] = None
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise DataError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
-        if self.kind == "gaussian":
-            if self.scale is None or not (math.isfinite(self.scale) and self.scale > 0):
-                raise DataError(f"gaussian kernel needs scale > 0, got {self.scale!r}")
-        elif self.scale is not None:
-            raise DataError(f"{self.kind} kernel takes no scale parameter")
+        super().__post_init__()
+        if (self.kind == "gaussian") != (self.scale is not None):
+            raise DataError(f"a gaussian kernel needs a scale and no other takes one, got {self}")
 
     @classmethod
     def gaussian(cls, flavor: str) -> "KernelSpec":

@@ -15,27 +15,26 @@ import re
 import time
 import urllib.parse
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from ..data import Checked, Rule
 from ..errors import DataError, NetworkError
 from .queue import ReadingRecord, UploadQueue
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Checked):
     base_delay: float = 0.1
     max_delay: float = 2.0
-    jitter: float = 0.1  # fractional; delay *= 1 + jitter*U(-1, 1)
-    max_attempts: int = 6
+    jitter: Annotated[float, Rule(ge=0, le=1)] = 0.1  # fractional; delay *= 1 + jitter*U(-1, 1)
+    max_attempts: Annotated[int, Rule(ge=1)] = 6
 
     def __post_init__(self):
-        if not 0 < self.base_delay <= self.max_delay:  # false for a NaN too
+        super().__post_init__()
+        if not 0 < self.base_delay <= self.max_delay:
             raise DataError("need 0 < base_delay <= max_delay")
-        if not 0 <= self.jitter <= 1:
-            raise DataError("jitter must be in [0, 1]")
-        if self.max_attempts < 1:
-            raise DataError("max_attempts must be >= 1")
 
     def delay(self, attempt: int, rng: np.random.Generator) -> float:
         base = min(self.base_delay * (2.0 ** attempt), self.max_delay)

@@ -20,10 +20,9 @@ the fragment, or the new line would join it; it does so only when no other
 queue has the directory open (see below), and otherwise refuses the append
 with a DataError, changing no file. An open alone never rewrites a log.
 
-An open decodes and validates every complete line of all three logs, but
-builds a ReadingRecord only for the pending records of queue.log (plus one
-per dead letter); acked and dead-lettered queue.log lines are checked against
-the same field rules and then dropped. pending_count() is O(1).
+An open decodes and validates every complete line of all three logs: each
+queue.log line and dead letter is read as a ReadingRecord, and only the
+pending ones of queue.log are kept. pending_count() is O(1).
 
 Compaction bounds what an open reads. Once COMPACT_AT lines of queue.log are
 settled (acked or dead-lettered), the next enqueue rewrites queue.log with only
@@ -45,8 +44,9 @@ import os
 import re
 import threading
 from dataclasses import dataclass
+from typing import Annotated
 
-from ..data import GLUCOSE_KINDS, GlucoseValue
+from ..data import Checked, GlucoseValue, Rule
 from ..errors import DataError
 
 QUEUE_LOG = "queue.log"
@@ -65,47 +65,13 @@ WIRE_FIELDS = (
 )
 
 _WIRE_KEYS = frozenset(WIRE_FIELDS)
-_ID_FIELDS = ("reading_id", "patient_id", "model_tag", "device_id")
 
-_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
+_TIMESTAMP = r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z"  # e.g. 2026-01-31T08:15:00Z
+_Id = Annotated[str, Rule(nonempty=True, says="{name} must be a non-empty string, got {v}")]
 
 # the C scanner behind json.loads, without its whitespace stripping: each log
 # line is exactly one JSON value
 _scan = json.JSONDecoder().scan_once
-
-
-def _check_text_fields(get, source) -> None:
-    """The rules on a record's string fields, shared by the constructor
-    (getattr: vars() would build each record a __dict__) and the settled
-    queue.log line check (dict.__getitem__ on the wire dict)."""
-    for name in _ID_FIELDS:
-        v = get(source, name)
-        if not isinstance(v, str) or not v:
-            raise DataError(f"{name} must be a non-empty string, got {v!r}")
-    ts = get(source, "timestamp_utc")
-    if not isinstance(ts, str) or not _TIMESTAMP_RE.fullmatch(ts):
-        raise DataError(f"timestamp_utc must look like 2026-01-31T08:15:00Z, got {ts!r}")
-
-
-def _wire_glucose(d) -> GlucoseValue:
-    """Check a decoded wire entry's field set and glucose; returns the glucose."""
-    if not isinstance(d, dict):
-        raise DataError(f"entry must be a JSON object, got {d!r}")
-    if d.keys() != _WIRE_KEYS:
-        extra = set(d) - _WIRE_KEYS
-        missing = _WIRE_KEYS - set(d)
-        raise DataError(f"bad record fields: extra {sorted(extra)}, missing {sorted(missing)}")
-    kind = d["glucose_kind"]
-    if kind not in GLUCOSE_KINDS:
-        raise DataError(f"bad glucose_kind {kind!r}")
-    v = d["glucose_mgdl"]
-    # bool is an int subclass, but a JSON true is not a glucose value
-    if type(v) is not float and type(v) is not int:
-        raise DataError(f"glucose_mgdl must be a number, got {v!r}")
-    try:
-        return GlucoseValue(float(v), kind)
-    except OverflowError:
-        raise DataError(f"glucose_mgdl out of range, got {v!r}") from None
 
 
 def _write(fh, data: bytes) -> None:
@@ -132,19 +98,17 @@ def _decode_line(line: str):
 
 
 @dataclass(frozen=True)
-class ReadingRecord:
+class ReadingRecord(Checked):
     """One glucose reading bound for the cloud; reading_id doubles as the
     idempotency key, so retried uploads are harmless."""
 
-    reading_id: str
-    patient_id: str
-    timestamp_utc: str  # ISO-8601, seconds precision, e.g. 2026-01-31T08:15:00Z
+    reading_id: _Id
+    patient_id: _Id
+    timestamp_utc: Annotated[str, Rule(  # ISO-8601, seconds precision
+        pattern=_TIMESTAMP, says="{name} must look like 2026-01-31T08:15:00Z, got {v}")]
     glucose: GlucoseValue
-    model_tag: str
-    device_id: str
-
-    def __post_init__(self):
-        _check_text_fields(getattr, self)
+    model_tag: _Id
+    device_id: _Id
 
     def to_wire(self) -> dict:
         """The exact JSON body the endpoint expects (field set is fixed)."""
@@ -159,16 +123,16 @@ class ReadingRecord:
         }
 
     @classmethod
-    def from_wire(cls, d: dict) -> "ReadingRecord":
-        glucose = _wire_glucose(d)
-        return cls(
-            reading_id=d["reading_id"],
-            patient_id=d["patient_id"],
-            timestamp_utc=d["timestamp_utc"],
-            glucose=glucose,
-            model_tag=d["model_tag"],
-            device_id=d["device_id"],
-        )
+    def from_wire(cls, d) -> "ReadingRecord":
+        if not isinstance(d, dict):
+            raise DataError(f"entry must be a JSON object, got {d!r}")
+        if d.keys() != _WIRE_KEYS:
+            extra = set(d) - _WIRE_KEYS
+            missing = _WIRE_KEYS - set(d)
+            raise DataError(f"bad record fields: extra {sorted(extra)}, missing {sorted(missing)}")
+        glucose = GlucoseValue(d["glucose_mgdl"], d["glucose_kind"])
+        return cls(d["reading_id"], d["patient_id"], d["timestamp_utc"], glucose,
+                   d["model_tag"], d["device_id"])
 
 
 def _torn_tail(fh) -> bool:
@@ -238,7 +202,7 @@ class UploadQueue:
         if not isinstance(entry, dict):
             raise DataError(f"expected a JSON object, got {entry!r}")
         for device, ts in entry.items():
-            if not device or not isinstance(ts, str) or not _TIMESTAMP_RE.fullmatch(ts):
+            if not device or not isinstance(ts, str) or not re.fullmatch(_TIMESTAMP, ts):
                 raise DataError(f"bad last timestamp {ts!r} for device {device!r}")
         self._last_ts.update(entry)
 
@@ -250,15 +214,11 @@ class UploadQueue:
         self._dead[rec.reading_id] = (rec, reason)
 
     def _load_queued(self, d) -> None:
-        rid = d.get("reading_id") if isinstance(d, dict) else None
-        if isinstance(rid, str) and (rid in self._acked or rid in self._dead):
-            # settled: held to the record's rules, but no record is built
-            _wire_glucose(d)
-            _check_text_fields(dict.__getitem__, d)
-        else:
-            self._pending[rid] = ReadingRecord.from_wire(d)
+        rec = ReadingRecord.from_wire(d)
+        rid, device, ts = rec.reading_id, rec.device_id, rec.timestamp_utc
+        if rid not in self._acked and rid not in self._dead:
+            self._pending[rid] = rec
         self._ids.add(rid)
-        device, ts = d["device_id"], d["timestamp_utc"]
         prev = self._last_ts.get(device)
         if prev is None or ts >= prev:
             self._last_ts[device] = ts

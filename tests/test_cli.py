@@ -641,3 +641,14 @@ class TestSizeLimits:
         monkeypatch.setattr(dnn_module, "init_theta", no_init)
         with pytest.raises(DataError, match="hidden_layers must be in"):
             fit_model("dnn", dataset_factory(n=30), "capillary", **options)
+
+
+class TestReportMissingField:
+    def test_missing_metric_is_named(self, tmp_path, report_json):
+        doc = json.loads(report_json.read_text())
+        del doc["metrics"]["mard_pct"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc, out, err = run(["report", str(bad)])
+        assert (rc, out) == (2, "")
+        assert err == f"glucokit: data error: report {bad}: missing field 'metrics.mard_pct'\n"
