@@ -26,6 +26,9 @@ LAMBDA_STEP = 10.0
 # 390 KB per training row; checked before init_theta allocates anything
 MAX_HIDDEN_LAYERS = 20
 MAX_WIDTH = 50
+# the most LM iterations DnnTrainConfig accepts, a hundred times the default;
+# at the default network and 600 training rows an iteration takes about 30 ms
+MAX_ITERS = 100_000
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -41,7 +44,7 @@ class DnnTrainConfig(Checked):
     width: int = 10
     seed: Annotated[int, Rule(ge=0)] = 0
     lambda0: Annotated[float, Rule(gt=0)] = 1e-3
-    max_iters: Annotated[int, Rule(ge=1)] = 1000
+    max_iters: Annotated[int, Rule(ge=1, le=MAX_ITERS)] = 1000
     sse_tol: Annotated[float, Rule(gt=0)] = 1e-10
 
     def __post_init__(self):

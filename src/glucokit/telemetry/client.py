@@ -23,13 +23,17 @@ from ..data import Checked, Rule
 from ..errors import DataError, NetworkError
 from .queue import ReadingRecord, UploadQueue
 
+# the most upload attempts per record in one sync; at the default 2 s
+# max_delay a record that always fails backs off for about 3 minutes
+MAX_ATTEMPTS = 100
+
 
 @dataclass(frozen=True)
 class RetryPolicy(Checked):
     base_delay: float = 0.1
     max_delay: float = 2.0
     jitter: Annotated[float, Rule(ge=0, le=1)] = 0.1  # fractional; delay *= 1 + jitter*U(-1, 1)
-    max_attempts: Annotated[int, Rule(ge=1)] = 6
+    max_attempts: Annotated[int, Rule(ge=1, le=MAX_ATTEMPTS)] = 6
 
     def __post_init__(self):
         super().__post_init__()

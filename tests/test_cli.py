@@ -12,8 +12,9 @@ from glucokit.cli import main
 from glucokit.data import ChannelVoltages, Dataset, GlucoseValue, Sample, export_csv, load_csv
 from glucokit.errors import DataError
 from glucokit.regressors import dnn as dnn_module, fit_model, load_model
-from glucokit.regressors.dnn import MAX_HIDDEN_LAYERS, MAX_WIDTH
+from glucokit.regressors.dnn import MAX_HIDDEN_LAYERS, MAX_ITERS, MAX_WIDTH
 from glucokit.telemetry import MockEndpoint, UploadQueue
+from glucokit.telemetry.client import MAX_ATTEMPTS
 
 
 def run(argv):
@@ -641,6 +642,36 @@ class TestSizeLimits:
         monkeypatch.setattr(dnn_module, "init_theta", no_init)
         with pytest.raises(DataError, match="hidden_layers must be in"):
             fit_model("dnn", dataset_factory(n=30), "capillary", **options)
+
+
+class TestIterationLimits:
+    @pytest.mark.parametrize("n", [MAX_ITERS + 1, 10 ** 20])
+    def test_calibrate_max_iters(self, workspace, monkeypatch, n):
+        def no_fit(*args):
+            raise AssertionError("started the fit before checking --max-iters")
+
+        monkeypatch.setattr(dnn_module, "init_theta", no_fit)
+        monkeypatch.setattr(dnn_module, "levenberg_marquardt", no_fit)
+        rc, out, err = run(["calibrate", "--train", str(workspace["data"]),
+                            "--model", "dnn", "--max-iters", str(n)])
+        assert (rc, out) == (2, "")
+        assert f"max_iters must be in [1, {MAX_ITERS}]" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [MAX_ATTEMPTS + 1, 10 ** 20])
+    def test_sync_max_attempts(self, workspace, tmp_path, n):
+        qdir = tmp_path / "q"
+        rc, *_ = run(["predict", "--model", str(workspace["model"]),
+                      "--v1", "2500", "--v2", "2100", "--v3", "1900", "--enqueue",
+                      "--queue", str(qdir), "--timestamp", "2026-03-01T10:00:00Z"])
+        assert rc == 0
+        with MockEndpoint() as ep:
+            rc, out, err = run(["sync", "--queue", str(qdir), "--endpoint", ep.url,
+                                "--max-attempts", str(n)])
+            assert ep.request_count == 0
+        assert (rc, out) == (2, "")
+        assert f"max_attempts must be in [1, {MAX_ATTEMPTS}]" in err and err.count("\n") == 1
+        with UploadQueue(qdir) as q:
+            assert q.pending_count() == 1
 
 
 class TestReportMissingField:
