@@ -1,6 +1,8 @@
-"""Properties over generated inputs: every Clarke pair gets one zone, and a
-dataset survives a CSV export and load unchanged."""
+"""Properties over generated inputs: every Clarke pair gets one zone, a
+dataset survives a CSV export and load unchanged, and so does a model
+document of any family through save and load."""
 
+import json
 import math
 import os
 import tempfile
@@ -15,6 +17,9 @@ from glucokit.data import (
 )
 from glucokit.errors import DataError
 from glucokit.evaluation import ZONES, ceg_zone
+from glucokit.regressors import (
+    FAMILIES, N_FEATURES, TrainedModel, model_from_dict, model_to_dict, save_model,
+)
 
 from oracles import ceg_zone_oracle
 
@@ -99,3 +104,67 @@ def test_padded_id_is_refused():
     # load_csv strips every cell, so ' a' would come back as 'a'
     with pytest.raises(DataError, match="must not start or end with whitespace"):
         Sample(" a", ChannelVoltages(0.0, 0.0, 0.0))
+
+
+# ---------------------------------------------------------------- model documents
+
+numbers = st.floats(**_finite)
+positive = st.floats(min_value=0.0, exclude_min=True, **_finite)
+
+
+def scaler(width):
+    return st.fixed_dictionaries({"means": st.lists(numbers, min_size=width, max_size=width),
+                                  "stds": st.lists(positive, min_size=width, max_size=width)})
+
+
+@st.composite
+def svr_params(draw, spec):
+    n, c = draw(st.integers(0, 4)), draw(positive)
+    kernel = FAMILIES["svr"].specs[spec]["kernel"]
+    return {"kernel": {"kind": kernel.kind, "scale": kernel.scale},
+            "beta": draw(st.lists(st.floats(-c, c), min_size=n, max_size=n)),
+            "bias": draw(numbers), "eps": draw(numbers), "c": c,
+            "train_inputs": draw(st.lists(st.lists(numbers, min_size=3, max_size=3),
+                                          min_size=n, max_size=n)),
+            "x_scaler": draw(scaler(3)), "y_scaler": draw(scaler(1))}
+
+
+@st.composite
+def dnn_params(draw):
+    widths = [3, *draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)), 1]
+    layers = list(zip(widths, widths[1:]))
+    return {"widths": widths,
+            "weights": [draw(st.lists(st.lists(numbers, min_size=i, max_size=i),
+                                      min_size=o, max_size=o)) for i, o in layers],
+            "biases": [draw(st.lists(numbers, min_size=o, max_size=o)) for _, o in layers],
+            "x_scaler": draw(scaler(3)), "y_scaler": draw(scaler(1))}
+
+
+mpr3_params = st.fixed_dictionaries({
+    "coefficients": st.lists(numbers, min_size=N_FEATURES, max_size=N_FEATURES),
+    "intercept": numbers, "x_scaler": scaler(3)})
+
+
+@st.composite
+def documents(draw):
+    """A spec and finite params for it, as a model document holds them."""
+    spec = draw(st.sampled_from([s for f in FAMILIES.values() for s in f.specs]))
+    family = spec.partition(":")[0]
+    params = mpr3_params if family == "mpr3" else dnn_params() if family == "dnn" else svr_params(spec)
+    return spec, draw(params), draw(st.sampled_from(("capillary", "serum")))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(doc=documents())
+def test_model_document_round_trip(doc):
+    spec, params, kind = doc
+    model = FAMILIES[spec.partition(":")[0]].from_params(params, kind)
+    saved = model_to_dict(TrainedModel(spec=spec, model=model, metadata={}))
+    back = model_from_dict(json.loads(json.dumps(saved)))
+    assert back.model == model and back.spec == spec and back.glucose_kind == kind
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = os.path.join(tmp, "first.json"), os.path.join(tmp, "again.json")
+        save_model(TrainedModel(spec=spec, model=model, metadata={}), first)
+        save_model(back, again)
+        with open(first, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
