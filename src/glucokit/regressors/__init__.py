@@ -23,7 +23,8 @@ reading is a batch of one); params/from_params map the v1 document.
 
 Loading is strict. from_params reads params with data.json_reader, the one
 JSON decoder, which the simulator configs share: unknown keys, leaves of the
-wrong JSON type and integers beyond float range are DataErrors.
+wrong JSON type and integers beyond float range are DataErrors, and a missing
+key is named.
 model_from_dict also checks the identity fields that tag every enqueued
 reading: glucose_kind, spec (one of the family's specs, agreeing with the
 params) and metadata (an object).

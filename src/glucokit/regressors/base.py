@@ -146,6 +146,7 @@ class FamilyModel:
     def from_params(cls, params: dict, kind: str) -> FamilyModel:
         """Inverse of params(), read by data.json_reader: params holds the
         fields but glucose_kind, each array nested to its field's depth with
-        leaves of the field's JSON type, and numbers become floats. Anything
-        else, such as true for a number or an unknown key, is a DataError."""
+        leaves of the field's JSON type, and numbers become floats. A missing
+        key is a KeyError naming it; anything else, such as true for a number
+        or an unknown key, is a DataError."""
         return json_reader(cls, "params")(params, glucose_kind=kind)

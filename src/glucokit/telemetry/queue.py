@@ -123,7 +123,7 @@ class ReadingRecord(Checked):
         }
 
     @classmethod
-    def from_wire(cls, d) -> "ReadingRecord":
+    def from_wire(cls, d: dict) -> "ReadingRecord":
         if not isinstance(d, dict):
             raise DataError(f"entry must be a JSON object, got {d!r}")
         if d.keys() != _WIRE_KEYS:
