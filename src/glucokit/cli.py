@@ -51,7 +51,7 @@ from .evaluation import (
 )
 from .regressors import FAMILIES, MODEL_SPECS, fit_model, load_model, save_model
 from .regressors.dnn import MAX_HIDDEN_LAYERS, MAX_WIDTH
-from .telemetry import ReadingRecord, RetryPolicy, UploadQueue, sync as run_sync
+from .telemetry.queue import ReadingRecord, UploadQueue
 
 # environment variable -> the flag it supplies, in each command that has the flag
 ENV_FLAGS = {"GLUCOKIT_QUEUE_DIR": "queue", "GLUCOKIT_ENDPOINT": "endpoint"}
@@ -355,12 +355,14 @@ def cmd_predict(args, config: dict) -> int:
 # -------------------------------------------------------------------- sync
 
 def cmd_sync(args, config: dict) -> int:
+    from .telemetry.client import RetryPolicy, sync  # http.client only when syncing
+
     retry = RetryPolicy(base_delay=args.base_delay, max_delay=args.max_delay,
                         jitter=args.jitter, max_attempts=args.max_attempts)
 
     with UploadQueue(args.queue) as q:
-        stats = run_sync(q, args.endpoint, retry, timeout=args.timeout,
-                         rng=np.random.default_rng(args.seed))
+        stats = sync(q, args.endpoint, retry, timeout=args.timeout,
+                     rng=np.random.default_rng(args.seed))
         print(f"uploaded {stats.uploaded}  dead-lettered {stats.dead_lettered}  "
               f"remaining {stats.remaining}  attempts {stats.attempts}")
         for record, reason in q.dead_letters():

@@ -1,7 +1,7 @@
 """Offline-tolerant reading uploads: durable queue, retrying sync, mock endpoint."""
 
-from .client import RetryPolicy, SyncStats, sync
-from .mockserver import MockEndpoint
+import importlib
+
 from .queue import (
     ACKED_LOG,
     DEADLETTER_LOG,
@@ -16,3 +16,14 @@ __all__ = [
     "MockEndpoint", "ReadingRecord", "RetryPolicy", "SyncStats",
     "UploadQueue", "sync",
 ]
+
+# the client loads http.client and the mock endpoint http.server; importing
+# them on first use keeps both out of every command but sync
+_LAZY = {"RetryPolicy": "client", "SyncStats": "client", "sync": "client",
+         "MockEndpoint": "mockserver"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

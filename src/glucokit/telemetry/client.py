@@ -21,7 +21,7 @@ import numpy as np
 
 from ..data import Checked, Rule
 from ..errors import DataError, NetworkError
-from .queue import ReadingRecord, UploadQueue
+from .queue import UploadQueue
 
 # the most upload attempts per record in one sync; at the default 2 s
 # max_delay a record that always fails backs off for about 3 minutes
@@ -60,8 +60,8 @@ class _Transient(Exception):
     """Retryable upload failure (5xx, connection trouble, timeout)."""
 
 
-def _connection(endpoint: str, timeout: float) -> tuple[http.client.HTTPConnection, str]:
-    """One keep-alive connection to the endpoint and the readings path on it.
+def _connection(endpoint: str, timeout: float) -> "_Exchange":
+    """One keep-alive link to the readings path of the endpoint.
 
     Checking the URL here, once, makes a malformed one a DataError before any
     attempt. A path prefix is kept: http://h:p/ingest posts to
@@ -76,24 +76,131 @@ def _connection(endpoint: str, timeout: float) -> tuple[http.client.HTTPConnecti
         cls = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
         conn = cls(parts.hostname, parts.port, timeout=timeout)  # .port raises on a bad port
         path = parts.path.rstrip("/") + "/v1/readings"
-        if not re.fullmatch(r"[!-~]+", path):  # http.client sends the request line as ASCII
+        if not re.fullmatch(r"[!-~]+", path):  # the request line is ASCII
             raise ValueError("path must be printable ASCII without spaces")
+        return _Exchange(conn, path)
     except (ValueError, http.client.InvalidURL) as exc:
         raise DataError(f"endpoint {endpoint!r}: {exc}") from None
-    return conn, path
 
 
-def _post_record(conn: http.client.HTTPConnection, path: str, record: ReadingRecord) -> str:
-    body = json.dumps(record.to_wire()).encode("utf-8")
-    try:
-        conn.request("POST", path, body, {"Content-Type": "application/json"})
-        with conn.getresponse() as resp:
-            status, reason, reply = resp.status, resp.reason, resp.read()
-    except (http.client.HTTPException, OSError) as exc:
-        # a failed exchange leaves the connection unusable; close it so the
-        # next request opens a fresh one
-        conn.close()
-        raise _Transient(str(exc)) from None
+# http.client's caps on one status or header line and on the header count
+_MAX_LINE, _MAX_HEADERS = 65536, 100
+
+
+class _Exchange:
+    """POSTs over one keep-alive connection. The HTTPConnection only opens
+    the socket (TCP_NODELAY, TLS for https, the per-operation timeout); each
+    request goes out in one write, and the reply is framed here: 1xx replies
+    skipped, then a chunked, Content-Length or close-delimited body."""
+
+    def __init__(self, conn: http.client.HTTPConnection, path: str):
+        self._conn = conn
+        self._reader = None  # buffered reader on the open socket; None while closed
+        try:  # the Host value http.client sends
+            host = conn.host.encode("ascii")
+        except UnicodeEncodeError:
+            host = conn.host.encode("idna")
+        if b":" in host:  # an IPv6 literal, without its zone
+            host = b"[" + host.partition(b"%")[0] + b"]"
+        if conn.port != conn.default_port:
+            host += b":%d" % conn.port
+        self._head = (b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
+                      b"Content-Type: application/json\r\nContent-Length: "
+                      % (path.encode("ascii"), host))
+
+    def post(self, body: bytes) -> tuple[int, str, bytes]:
+        """The reply's status, reason and body."""
+        try:
+            if self._reader is None:
+                self._conn.connect()
+                self._reader = self._conn.sock.makefile("rb")
+            self._conn.sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
+            status, reason, reply, keep = self._read_reply()
+        except (OSError, _Transient) as exc:
+            # a failed exchange leaves the connection unusable; close it so
+            # the next post opens a fresh one
+            self.close()
+            raise _Transient(str(exc) or type(exc).__name__) from None
+        if not keep:
+            self.close()
+        return status, reason, reply
+
+    def close(self) -> None:
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
+        self._conn.close()
+
+    def _line(self) -> bytes:
+        line = self._reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _Transient(f"reply line longer than {_MAX_LINE} bytes")
+        return line
+
+    def _read_reply(self) -> tuple[int, str, bytes, bool]:
+        status = 100
+        while status < 200:
+            line = self._line()
+            if not line:
+                raise _Transient("endpoint closed the connection without a reply")
+            parts = line.split(None, 2)
+            if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+                    or not re.fullmatch(rb"[1-9]\d\d", parts[1])):
+                raise _Transient(f"bad status line {line[:80]!r}")
+            status = int(parts[1])
+            reason = parts[2].strip().decode("latin-1") if len(parts) > 2 else ""
+            close, length, chunked = parts[0] != b"HTTP/1.1", None, False
+            for _ in range(_MAX_HEADERS + 1):
+                line = self._line()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.partition(b":")
+                name, value = name.strip().lower(), value.strip().lower()
+                if name == b"content-length":
+                    length = value
+                elif name == b"transfer-encoding":
+                    chunked = value.rsplit(b",", 1)[-1].strip() == b"chunked"
+                elif name == b"connection":
+                    close = close or b"close" in [t.strip() for t in value.split(b",")]
+            else:
+                raise _Transient(f"reply has more than {_MAX_HEADERS} headers")
+        if status in (204, 304):
+            reply = b""
+        elif chunked:
+            reply = self._read_chunked()
+        elif length is not None:
+            if not length.isdigit():
+                raise _Transient(f"bad Content-Length {length[:20]!r}")
+            reply = self._read(int(length))
+        else:
+            reply, close = self._reader.read(), True
+        return status, reason, reply, not close
+
+    def _read(self, n: int) -> bytes:
+        data = self._reader.read(n)
+        if len(data) < n:
+            raise _Transient(f"reply body cut short: {len(data)} of {n} bytes")
+        return data
+
+    def _read_chunked(self) -> bytes:
+        chunks = []
+        while True:
+            size = self._line().split(b";", 1)[0].strip()
+            if not re.fullmatch(rb"[0-9A-Fa-f]+", size):
+                raise _Transient(f"bad chunk size {size[:20]!r}")
+            n = int(size, 16)
+            if n == 0:
+                break
+            chunks.append(self._read(n))
+            if self._read(2) != b"\r\n":
+                raise _Transient("chunk not followed by CRLF")
+        while self._line() not in (b"\r\n", b"\n", b""):  # trailer fields
+            pass
+        return b"".join(chunks)
+
+
+def _post_record(link: _Exchange, body: bytes, reading_id: str) -> str:
+    status, reason, reply = link.post(body)
     if not 200 <= status < 300:
         detail = reply.decode("utf-8", "replace")[:200]
         if 400 <= status < 500:
@@ -104,8 +211,8 @@ def _post_record(conn: http.client.HTTPConnection, path: str, record: ReadingRec
     except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
         raise _Transient("endpoint reply is not JSON") from None
     ack = payload.get("ack") if isinstance(payload, dict) else None
-    if ack != record.reading_id:
-        raise _Transient(f"endpoint acked {ack!r}, expected {record.reading_id!r}")
+    if ack != reading_id:
+        raise _Transient(f"endpoint acked {ack!r}, expected {reading_id!r}")
     return ack
 
 
@@ -122,15 +229,16 @@ def sync(queue: UploadQueue, endpoint: str, retry: RetryPolicy | None = None, *,
     """
     retry = retry or RetryPolicy()
     rng = rng or np.random.default_rng()
-    conn, path = _connection(endpoint, timeout)
+    link = _connection(endpoint, timeout)
     uploaded = dead = attempts_total = 0
     records = queue.pending()
     try:
         for record in records:
+            body = json.dumps(record.to_wire()).encode("utf-8")
             for attempt in range(retry.max_attempts):
                 attempts_total += 1
                 try:
-                    _post_record(conn, path, record)
+                    _post_record(link, body, record.reading_id)
                 except NetworkError as exc:
                     queue.mark_dead(record, str(exc))
                     dead += 1
@@ -145,7 +253,7 @@ def sync(queue: UploadQueue, endpoint: str, retry: RetryPolicy | None = None, *,
             else:
                 break  # attempts exhausted: the endpoint is presumed down
     finally:
-        conn.close()
+        link.close()
     # every record before the one that stopped the run was acked or dead-lettered
     return SyncStats(uploaded=uploaded, dead_lettered=dead,
                      remaining=len(records) - uploaded - dead, attempts=attempts_total)

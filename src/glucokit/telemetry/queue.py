@@ -15,10 +15,13 @@ acked.log nor deadletter.log. Every append is flushed and fsynced before the
 call returns, so an enqueue or ack that returned survives a crash. A torn
 final line (no trailing newline, left by a crash mid-append) is ignored on
 open; a malformed line that is not the final one means real corruption and
-is an error. Before appending to a log that ends in a torn line, a queue cuts
-the fragment, or the new line would join it; it does so only when no other
-queue has the directory open (see below), and otherwise refuses the append
-with a DataError, changing no file. An open alone never rewrites a log.
+is an error. Each append holds an exclusive flock on its log while it checks
+the tail and writes, so a torn tail it sees was left by a crash, not by
+another queue's append in flight. Before appending to a log that ends in a
+torn line, a queue cuts the fragment, or the new line would join it; it does
+so only when no other queue has the directory open (see below), and
+otherwise refuses the append with a DataError, changing no file. An open
+alone never rewrites a log.
 
 An open decodes and validates every complete line of all three logs: each
 queue.log line and dead letter is read as a ReadingRecord, and only the
@@ -160,8 +163,8 @@ def _read_lines(path) -> list[str]:
 
 class UploadQueue:
     """Crash-safe pending-readings store. Queues in several threads or
-    processes may share a directory: appends need no lock beyond the internal
-    one, and compaction runs only when this queue has the directory alone."""
+    processes may share a directory: each append holds its log's flock, and
+    compaction runs only when this queue has the directory alone."""
 
     def __init__(self, directory):
         self.directory = str(directory)
@@ -224,16 +227,23 @@ class UploadQueue:
             self._last_ts[device] = ts
 
     def _append(self, name: str, text: str) -> None:
-        if _torn_tail(self._logs[name]):
-            self._if_alone(lambda: self._cut_torn_tail(name))
-            # still torn: another queue has the directory open, or another
-            # queue's append was mid-write when this one looked
-            if _torn_tail(self._logs[name]):
-                raise DataError(f"{name} ends in a torn line and another queue has "
-                                f"the directory open; not appending")
+        # the log's flock makes a torn tail seen here a crash's, not that of
+        # another queue's append still in flight
         fh = self._logs[name]
-        _durable("write", _write, fh, text.encode("utf-8") + b"\n")
-        _durable("fsync", os.fsync, fh.fileno())
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        try:
+            if _torn_tail(fh):
+                self._if_alone(lambda: self._cut_torn_tail(name))
+                if self._logs[name] is not fh:  # another queue compacted: a new queue.log
+                    fh = self._logs[name]
+                    fcntl.flock(fh, fcntl.LOCK_EX)
+                if _torn_tail(fh):
+                    raise DataError(f"{name} ends in a torn line and another queue has "
+                                    f"the directory open; not appending")
+            _durable("write", _write, fh, text.encode("utf-8") + b"\n")
+            _durable("fsync", os.fsync, fh.fileno())
+        finally:
+            fcntl.flock(fh, fcntl.LOCK_UN)
 
     def _cut_torn_tail(self, name: str) -> None:
         with open(self._path(name), "r+b") as fh:
