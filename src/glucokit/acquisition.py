@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Annotated, ClassVar
 
 import numpy as np
@@ -225,7 +225,7 @@ def generate_dataset(
         )
         if serum_delta is not None:
             serum = GlucoseValue(g * (1.0 - serum_delta), "serum")
-            s = Sample(s.id, s.voltages, s.capillary, serum, s.mode, s.sex, s.age_years)
+            s = replace(s, serum=serum)
         samples.append(s)
     return Dataset(tuple(samples))
 

@@ -11,6 +11,13 @@ Model spec strings accepted by fit_model:
     svr:coarse-gaussian    Gaussian, scale 4*sqrt(3)
     dnn                    sigmoid network, 10 hidden layers of 10
 
+fit_model(spec, train, kind, ...) is the one fit entry; it returns a
+TrainedModel, and predict_batch(voltages) is the one predict path, with
+predict(v) = predict_batch([v])[0]. A kernel or option outside the named
+specs is fitted by its family class, which fit_model calls too:
+SvrModel.fit_dataset(train, kind, kernel=KernelSpec("gaussian", 0.7))[0] is
+a bare SvrModel that predicts through the same predict_batch.
+
 FAMILIES (io.py), the only family lookup, maps the name before a spec's colon
 to the family's model dataclass. A family plugs in by subclassing
 base.FamilyModel, setting `family`, `specs` (spec -> the options it fixes,
@@ -43,17 +50,11 @@ from .base import (
     split_hash,
     usable_samples,
 )
-from .dnn import (
-    DnnModel,
-    DnnTrainConfig,
-    dnn_forward,
-    dnn_jacobian,
-    train_dnn_lm,
-)
-from .features import FEATURE_NAMES, N_FEATURES, build_features, feature_matrix
+from .dnn import DnnModel, DnnTrainConfig
+from .features import FEATURE_NAMES, N_FEATURES, feature_matrix
 from .io import FAMILIES, TrainedModel, load_model, model_from_dict, model_to_dict, save_model
-from .mpr import Mpr3Model, fit_mpr3, predict_mpr3
-from .svr import KernelSpec, SvrModel, fit_svr, kernel_eval, kernel_matrix, predict_svr
+from .mpr import Mpr3Model
+from .svr import KernelSpec, SvrModel, kernel_matrix
 
 MODEL_SPECS = tuple(spec for f in FAMILIES.values() for spec in f.specs)
 
@@ -91,9 +92,7 @@ __all__ = [
     "CLAMP_HI_MGDL", "CLAMP_LO_MGDL", "FEATURE_NAMES", "N_FEATURES",
     "DnnModel", "DnnTrainConfig", "KernelSpec", "Mpr3Model", "MODEL_SPECS",
     "Prediction", "Standardizer", "SvrModel", "TrainedModel",
-    "build_features", "clamp_glucose", "dnn_forward", "dnn_jacobian",
-    "feature_matrix", "fit_model", "fit_mpr3", "fit_svr", "kernel_eval",
-    "kernel_matrix", "load_model", "model_from_dict", "model_to_dict",
-    "predict_mpr3", "predict_svr", "save_model", "split_hash", "train_dnn_lm",
-    "usable_samples",
+    "clamp_glucose", "feature_matrix", "fit_model", "kernel_matrix",
+    "load_model", "model_from_dict", "model_to_dict", "save_model",
+    "split_hash", "usable_samples",
 ]

@@ -15,9 +15,9 @@ from typing import Annotated, ClassVar
 
 import numpy as np
 
-from ..data import Checked, ChannelVoltages, Dataset, Rule
+from ..data import Checked, Rule
 from ..errors import DataError, SolverError
-from .base import FamilyModel, Prediction, Standardizer, design_arrays, usable_samples
+from .base import FamilyModel, Standardizer
 
 LAMBDA_LIMIT = 1e10
 LAMBDA_STEP = 10.0
@@ -257,21 +257,3 @@ def levenberg_marquardt(residual_fn, jacobian_fn, theta0: np.ndarray,
             break
     return LmResult(theta=theta, sse_path=tuple(path), iterations=iters, stop_reason=stop)
 
-
-def train_dnn_lm(train: Dataset, kind: str, cfg: DnnTrainConfig | None = None) -> DnnModel:
-    """Fit the network on standardized voltages/response; deterministic per seed."""
-    return DnnModel.fit_dataset(train, kind, **asdict(cfg or DnnTrainConfig()))[0]
-
-
-def dnn_forward(m: DnnModel, v: ChannelVoltages) -> Prediction:
-    """One reading through the network; output de-standardized and clamped."""
-    return m.predict_batch([v])[0]
-
-
-def dnn_jacobian(m: DnnModel, batch: Dataset) -> np.ndarray:
-    """Residual Jacobian of the model on a batch, in standardized space."""
-    rows = usable_samples(batch, m.glucose_kind)
-    if not rows:
-        raise DataError(f"batch has no samples with a {m.glucose_kind} reference")
-    X, _ = design_arrays(rows, m.glucose_kind)
-    return batch_jacobian(m.widths, m.theta(), m.x_scaler.transform(X))

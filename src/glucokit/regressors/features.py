@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data import ChannelVoltages
-
 FEATURE_NAMES = (
     "x1^3", "x2^3", "x3^3",
     "x1^2*x2", "x1^2*x3", "x1*x2^2", "x1*x3^2", "x2^2*x3", "x2*x3^2",
@@ -28,18 +26,8 @@ FEATURE_NAMES = (
 N_FEATURES = len(FEATURE_NAMES)
 
 
-def monomials(x: np.ndarray) -> np.ndarray:
-    """Evaluate the 19 monomials of a 3-vector, in the documented order."""
-    return feature_matrix([x])[0]
-
-
-def build_features(v: ChannelVoltages) -> np.ndarray:
-    """Feature vector of raw channel voltages (no standardization applied)."""
-    return monomials(v.as_array())
-
-
 def feature_matrix(X: np.ndarray) -> np.ndarray:
-    """Row-wise monomials of an (n, 3) array -> (n, 19) design block."""
+    """The 19 monomial terms of each row of an (n, 3) array -> (n, 19) design block."""
     X = np.asarray(X, dtype=float)
     x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
     # x1 * x1 * x2 evaluates as (x1 * x1) * x2, so building each cubic from a

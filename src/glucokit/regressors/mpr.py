@@ -1,7 +1,7 @@
 """Cubic multivariate polynomial regression on the three channel voltages.
 
 The model is linear in its 19 monomial features plus an intercept, so fitting
-is plain least squares. Voltages are z-scored before the monomials are built
+is plain least squares. Voltages are z-scored before the monomial terms are built
 (raw mV cubed would span ~10 orders of magnitude and wreck conditioning);
 the response stays in mg/dl.
 """
@@ -14,9 +14,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..data import Checked, ChannelVoltages, Dataset, GlucoseKind
+from ..data import Checked, GlucoseKind
 from ..errors import DataError, SolverError
-from .base import FamilyModel, Prediction, Standardizer
+from .base import FamilyModel, Standardizer
 from .features import N_FEATURES, feature_matrix
 
 CONDITION_LIMIT = 1e10
@@ -72,12 +72,3 @@ class Mpr3Model(FamilyModel, Checked):
     def decision(self, Z: np.ndarray) -> np.ndarray:
         return feature_matrix(Z) @ np.asarray(self.coefficients) + self.intercept
 
-
-def fit_mpr3(train: Dataset, kind: str, *, intercept: bool = True) -> Mpr3Model:
-    """Fit the cubic polynomial on z-scored voltages; needs 20 usable samples."""
-    return Mpr3Model.fit_dataset(train, kind, intercept=intercept)[0]
-
-
-def predict_mpr3(m: Mpr3Model, v: ChannelVoltages) -> Prediction:
-    """Evaluate the polynomial at one reading; output clamped to [10, 600]."""
-    return m.predict_batch([v])[0]

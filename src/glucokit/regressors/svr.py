@@ -23,9 +23,9 @@ from typing import Annotated, ClassVar
 
 import numpy as np
 
-from ..data import Checked, ChannelVoltages, Dataset, Rule
+from ..data import Checked, Rule
 from ..errors import DataError, SolverError
-from .base import FamilyModel, Prediction, Standardizer
+from .base import FamilyModel, Standardizer
 
 KERNEL_KINDS = ("linear", "quadratic", "cubic", "gaussian")
 N_PREDICTORS = 3
@@ -53,11 +53,6 @@ class KernelSpec(Checked):
         if flavor not in scales:
             raise DataError(f"gaussian flavor must be one of {sorted(scales)}, got {flavor!r}")
         return cls("gaussian", scales[flavor])
-
-
-def kernel_eval(k: KernelSpec, u, v) -> float:
-    """Scalar kernel value between two equal-length vectors."""
-    return float(kernel_matrix(k, [u], [v])[0, 0])
 
 
 def kernel_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -266,18 +261,3 @@ def _check_kkt(beta: np.ndarray, h: np.ndarray, bias: float, y: np.ndarray,
     if np.any(inside & (np.abs(beta) > tol)):
         raise SolverError("KKT violation: point strictly inside the tube has nonzero beta")
 
-
-def fit_svr(train: Dataset, kind: str, kernel: KernelSpec,
-            eps: float | None = None, c: float | None = None) -> SvrModel:
-    """Fit an SVR model; eps/C default to iqr-derived values when omitted."""
-    return SvrModel.fit_dataset(train, kind, kernel=kernel, eps=eps, c=c)[0]
-
-
-def svr_decision(m: SvrModel, z: np.ndarray) -> float:
-    """Standardized-space decision value f(z) = sum b_i k(x_i, z) + bias."""
-    return float(m.decision(z[None, :])[0])
-
-
-def predict_svr(m: SvrModel, v: ChannelVoltages) -> Prediction:
-    """De-standardized prediction at one reading, clamped to [10, 600] mg/dl."""
-    return m.predict_batch([v])[0]

@@ -74,7 +74,9 @@ def _connection(endpoint: str, timeout: float) -> "_Exchange":
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError("need an http:// or https:// URL with a host")
         cls = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-        conn = cls(parts.hostname, parts.port, timeout=timeout)  # .port raises on a bad port
+        # .port raises on a bad port; a None port would let http.client read one
+        # from the host's last colon, so [::1] would become host ':' port 1
+        conn = cls(parts.hostname, parts.port or cls.default_port, timeout=timeout)
         path = parts.path.rstrip("/") + "/v1/readings"
         if not re.fullmatch(r"[!-~]+", path):  # the request line is ASCII
             raise ValueError("path must be printable ASCII without spaces")

@@ -49,13 +49,12 @@ from glucokit.regressors import (
     Standardizer,
     feature_matrix,
     fit_model,
-    fit_mpr3,
-    fit_svr,
     kernel_matrix,
     KernelSpec,
     load_model,
-    predict_mpr3,
+    Mpr3Model,
     save_model,
+    SvrModel,
     usable_samples,
 )
 from glucokit.regressors.base import design_arrays
@@ -93,7 +92,7 @@ def _pass(num: int, text: str) -> None:
 def test_criterion_01_planted_model_recovery(planted_poly):
     t0 = time.perf_counter()
     data, coeffs, intercept = planted_poly(n=100, seed=3)
-    m = fit_mpr3(data, "capillary")
+    m = Mpr3Model.fit_dataset(data, "capillary")[0]
 
     got = np.asarray(m.coefficients)
     rel_c = float(np.max(np.abs(got - coeffs) / np.maximum(np.abs(coeffs), 1e-12)))
@@ -101,7 +100,7 @@ def test_criterion_01_planted_model_recovery(planted_poly):
     assert rel_c <= 1e-6
     assert rel_b <= 1e-6
 
-    preds = tuple(predict_mpr3(m, s.voltages).value_mgdl for s in data.samples)
+    preds = tuple(m.predict_batch([s.voltages])[0].value_mgdl for s in data.samples)
     refs = tuple(s.capillary.value_mgdl for s in data.samples)
     mard_pct = mard(PairedReadings(refs=refs, preds=preds))
     assert mard_pct <= 1e-8
@@ -121,7 +120,7 @@ def test_criterion_02_least_squares_optimality():
                                 seed=int(rng.integers(1_000_000)))
         data = generate_dataset(int(rng.integers(25, 61)), (60.0, 340.0),
                                 fm, AdcConfig(), n_raw=4)
-        m = fit_mpr3(data, "capillary")
+        m = Mpr3Model.fit_dataset(data, "capillary")[0]
         rows = usable_samples(data, "capillary")
         X, y = design_arrays(rows, "capillary")
         phi = np.hstack([feature_matrix(m.x_scaler.transform(X)),
@@ -150,7 +149,7 @@ def test_criterion_03_svr_oracle_equivalence():
                    GlucoseValue(float(rng.uniform(60.0, 320.0)), "capillary"))
             for i in range(n)
         )
-        m = fit_svr(Dataset(samples), "capillary", kernel, eps=eps, c=c)
+        m = SvrModel.fit_dataset(Dataset(samples), "capillary", kernel=kernel, eps=eps, c=c)[0]
         Xs = np.asarray(m.train_inputs)
         K = kernel_matrix(kernel, Xs, Xs)
         rows = sorted(samples, key=lambda s: s.id)

@@ -1,11 +1,16 @@
-"""Importing the CLI loads no HTTP or email module; sync loads them on use."""
+"""Importing the CLI loads no HTTP or email module; sync loads them on use.
+Every name a package exports resolves."""
 
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import glucokit
+import glucokit.regressors
+import glucokit.telemetry
 
 SRC_DIR = os.path.dirname(os.path.dirname(glucokit.__file__))
 
@@ -29,3 +34,10 @@ def test_cli_import_loads_no_http_or_email_module():
     assert at_import == []
     assert {"http.client", "http.server"} <= set(after)
     assert (endpoint, sync) == ("MockEndpoint", "sync")
+
+
+@pytest.mark.parametrize("package", [glucokit.regressors, glucokit.telemetry],
+                         ids=lambda p: p.__name__)
+def test_every_exported_name_resolves(package):
+    for name in package.__all__:
+        getattr(package, name)  # a stale export raises AttributeError here

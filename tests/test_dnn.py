@@ -1,10 +1,13 @@
 """Network forward pass, analytic Jacobian, and the LM training loop."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from glucokit.errors import DataError, SolverError
-from glucokit.regressors import DnnTrainConfig, dnn_forward, dnn_jacobian, train_dnn_lm
+from glucokit.regressors import DnnModel, DnnTrainConfig, usable_samples
+from glucokit.regressors.base import design_arrays
 from glucokit.regressors.dnn import (
     batch_jacobian,
     batch_residuals,
@@ -180,41 +183,43 @@ class TestTrainDnn:
     def test_fits_smooth_synthetic_data(self, dataset_factory):
         data = dataset_factory(n=40, seed=6, noise_sd=0.5)
         cfg = DnnTrainConfig(hidden_layers=2, width=4, max_iters=150, seed=0)
-        m = train_dnn_lm(data, "capillary", cfg)
-        rel = [abs(dnn_forward(m, s.voltages).value_mgdl - s.capillary.value_mgdl)
+        m = DnnModel.fit_dataset(data, "capillary", **asdict(cfg))[0]
+        rel = [abs(m.predict_batch([s.voltages])[0].value_mgdl - s.capillary.value_mgdl)
                / s.capillary.value_mgdl for s in data.samples]
         assert 100.0 * float(np.mean(rel)) < 1.0
 
     def test_training_is_deterministic(self, dataset_factory):
         data = dataset_factory(n=25, seed=9, noise_sd=1.0)
         cfg = DnnTrainConfig(hidden_layers=1, width=3, max_iters=40, seed=2)
-        a = train_dnn_lm(data, "capillary", cfg)
-        b = train_dnn_lm(data, "capillary", cfg)
+        a = DnnModel.fit_dataset(data, "capillary", **asdict(cfg))[0]
+        b = DnnModel.fit_dataset(data, "capillary", **asdict(cfg))[0]
         assert a.weights == b.weights and a.biases == b.biases
 
     def test_seed_changes_solution(self, dataset_factory):
         data = dataset_factory(n=25, seed=9, noise_sd=1.0)
-        a = train_dnn_lm(data, "capillary",
-                         DnnTrainConfig(hidden_layers=1, width=3, max_iters=5, seed=0))
-        b = train_dnn_lm(data, "capillary",
-                         DnnTrainConfig(hidden_layers=1, width=3, max_iters=5, seed=1))
+        a = DnnModel.fit_dataset(data, "capillary", **asdict(
+            DnnTrainConfig(hidden_layers=1, width=3, max_iters=5, seed=0)))[0]
+        b = DnnModel.fit_dataset(data, "capillary", **asdict(
+            DnnTrainConfig(hidden_layers=1, width=3, max_iters=5, seed=1)))[0]
         assert a.weights != b.weights
 
     def test_needs_two_samples(self, dataset_factory):
         data = dataset_factory(n=1, seed=0, glucose_range=(100.0, 100.0))
         with pytest.raises(DataError):
-            train_dnn_lm(data, "capillary", DnnTrainConfig(hidden_layers=1, width=2))
+            DnnModel.fit_dataset(data, "capillary",
+                                 **asdict(DnnTrainConfig(hidden_layers=1, width=2)))
 
     def test_model_jacobian_shape(self, dataset_factory):
         data = dataset_factory(n=10, seed=3)
         cfg = DnnTrainConfig(hidden_layers=1, width=2, max_iters=5)
-        m = train_dnn_lm(data, "capillary", cfg)
-        J = dnn_jacobian(m, data)
+        m = DnnModel.fit_dataset(data, "capillary", **asdict(cfg))[0]
+        X, _ = design_arrays(usable_samples(data, m.glucose_kind), m.glucose_kind)
+        J = batch_jacobian(m.widths, m.theta(), m.x_scaler.transform(X))
         assert J.shape == (10, n_params(m.widths))
 
     def test_prediction_carries_kind(self, dataset_factory):
         data = dataset_factory(n=12, seed=4, serum_delta=0.05)
         cfg = DnnTrainConfig(hidden_layers=1, width=2, max_iters=10)
-        m = train_dnn_lm(data, "serum", cfg)
-        p = dnn_forward(m, data.samples[0].voltages)
+        m = DnnModel.fit_dataset(data, "serum", **asdict(cfg))[0]
+        p = m.predict_batch([data.samples[0].voltages])[0]
         assert p.kind == "serum" and 10.0 <= p.value_mgdl <= 600.0

@@ -6,6 +6,7 @@ import http.client
 import json
 import socket
 import threading
+import urllib.parse
 
 import pytest
 
@@ -167,10 +168,13 @@ def test_each_attempt_is_one_write_of_the_whole_request(serve, wire, queue):
 @pytest.mark.parametrize("url", [
     "http://127.0.0.1:80", "http://127.0.0.1:8080/ingest", "https://example.org",
     "https://example.org:8443", "http://[::1]:8080", "http://Bücher.example:81",
+    "http://[::1]", "https://[::1]/x",
 ])
 def test_host_is_what_http_client_sends(url):
     link = _connection(url, 1.0)
     conn = link._conn
+    parts = urllib.parse.urlsplit(url)
+    assert (conn.host, conn.port) == (parts.hostname, parts.port or conn.default_port)
     conn.putrequest("POST", "/v1/readings")  # buffers the lines; connects nowhere
     assert conn._buffer[1:] == link._head.split(b"\r\n")[1:3]  # Host, Accept-Encoding
 

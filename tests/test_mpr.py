@@ -5,7 +5,7 @@ import pytest
 
 from glucokit.data import ChannelVoltages, Dataset, GlucoseValue, Sample
 from glucokit.errors import DataError, SolverError
-from glucokit.regressors import feature_matrix, fit_mpr3, predict_mpr3
+from glucokit.regressors import Mpr3Model, feature_matrix
 from glucokit.regressors.base import usable_samples
 
 
@@ -21,17 +21,17 @@ def _design_and_targets(model, data, kind):
 class TestPlantedRecovery:
     def test_coefficients_recovered_to_float_precision(self, planted_poly):
         data, coeffs, intercept = planted_poly(n=100, seed=3)
-        m = fit_mpr3(data, "capillary")
+        m = Mpr3Model.fit_dataset(data, "capillary")[0]
         got = np.asarray(m.coefficients)
         assert np.max(np.abs(got - coeffs) / np.maximum(np.abs(coeffs), 1e-12)) < 1e-6
         assert m.intercept == pytest.approx(intercept, rel=1e-9)
 
     def test_downstream_predictions_match_targets(self, planted_poly):
         data, _, _ = planted_poly(n=60, seed=7)
-        m = fit_mpr3(data, "capillary")
+        m = Mpr3Model.fit_dataset(data, "capillary")[0]
         rel = []
         for s in data.samples:
-            pred = predict_mpr3(m, s.voltages)
+            pred = m.predict_batch([s.voltages])[0]
             rel.append(abs(pred.value_mgdl - s.capillary.value_mgdl)
                        / s.capillary.value_mgdl)
         assert 100.0 * float(np.mean(rel)) <= 1e-8  # mARD in percent
@@ -44,7 +44,7 @@ class TestLeastSquaresOptimality:
             data = dataset_factory(n=int(rng.integers(25, 60)),
                                    seed=int(rng.integers(10000)),
                                    noise_sd=float(rng.uniform(1.0, 8.0)))
-            m = fit_mpr3(data, "capillary")
+            m = Mpr3Model.fit_dataset(data, "capillary")[0]
             phi, y = _design_and_targets(m, data, "capillary")
             theta = np.append(m.coefficients, m.intercept)
             grad = phi.T @ (y - phi @ theta)
@@ -55,7 +55,7 @@ class TestFitGuards:
     def test_needs_twenty_samples(self, planted_poly):
         data, _, _ = planted_poly(n=19, seed=1)
         with pytest.raises(DataError, match="20"):
-            fit_mpr3(data, "capillary")
+            Mpr3Model.fit_dataset(data, "capillary")[0]
 
     def test_singular_design_raises_solver_error(self):
         # ch3 duplicates ch2 exactly, so whole monomial columns coincide
@@ -68,24 +68,24 @@ class TestFitGuards:
                 GlucoseValue(float(rng.uniform(80, 300)), "capillary"),
             ))
         with pytest.raises(SolverError, match="condition"):
-            fit_mpr3(Dataset(tuple(samples)), "capillary")
+            Mpr3Model.fit_dataset(Dataset(tuple(samples)), "capillary")[0]
 
     def test_missing_kind_counts_as_unusable(self, planted_poly):
         data, _, _ = planted_poly(n=30, seed=2)
         with pytest.raises(DataError):
-            fit_mpr3(data, "serum")  # samples carry capillary only
+            Mpr3Model.fit_dataset(data, "serum")[0]  # samples carry capillary only
 
 
 class TestIntercept:
     def test_no_intercept_fit_sets_zero(self, planted_poly):
         data, _, _ = planted_poly(n=50, seed=4)
-        m = fit_mpr3(data, "capillary", intercept=False)
+        m = Mpr3Model.fit_dataset(data, "capillary", intercept=False)[0]
         assert m.intercept == 0.0
 
     def test_intercept_improves_fit_on_offset_data(self, planted_poly):
         data, _, _ = planted_poly(n=50, seed=6, intercept=220.0)
-        with_b = fit_mpr3(data, "capillary", intercept=True)
-        without_b = fit_mpr3(data, "capillary", intercept=False)
+        with_b = Mpr3Model.fit_dataset(data, "capillary", intercept=True)[0]
+        without_b = Mpr3Model.fit_dataset(data, "capillary", intercept=False)[0]
 
         def sse(m):
             phi, y = _design_and_targets(m, data, "capillary")
@@ -99,18 +99,18 @@ class TestPredict:
     def test_order_invariance(self, planted_poly):
         data, _, _ = planted_poly(n=40, seed=9)
         shuffled = Dataset(tuple(reversed(data.samples)))
-        a = fit_mpr3(data, "capillary")
-        b = fit_mpr3(shuffled, "capillary")
+        a = Mpr3Model.fit_dataset(data, "capillary")[0]
+        b = Mpr3Model.fit_dataset(shuffled, "capillary")[0]
         probe = ChannelVoltages(2400.0, 2100.0, 1900.0)
-        assert predict_mpr3(a, probe).value_mgdl == predict_mpr3(b, probe).value_mgdl
+        assert a.predict_batch([probe])[0].value_mgdl == b.predict_batch([probe])[0].value_mgdl
 
     def test_prediction_clamp_flags(self, planted_poly):
         data, _, _ = planted_poly(n=40, seed=9)
-        m = fit_mpr3(data, "capillary")
+        m = Mpr3Model.fit_dataset(data, "capillary")[0]
         # far outside the training envelope the cubic explodes; clamp catches it
-        wild = predict_mpr3(m, ChannelVoltages(4900.0, 10.0, 4900.0))
+        wild = m.predict_batch([ChannelVoltages(4900.0, 10.0, 4900.0)])[0]
         assert wild.clamped
         assert wild.value_mgdl in (10.0, 600.0)
-        tame = predict_mpr3(m, data.samples[0].voltages)
+        tame = m.predict_batch([data.samples[0].voltages])[0]
         assert not tame.clamped
         assert tame.kind == "capillary"

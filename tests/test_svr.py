@@ -9,11 +9,11 @@ from glucokit.acquisition import AdcConfig, ForwardModelConfig, generate_dataset
 from glucokit.data import ChannelVoltages, Dataset, GlucoseValue, Sample, split_dataset
 from glucokit.errors import DataError, SolverError
 from glucokit.regressors import (
-    KernelSpec, Standardizer, fit_svr, kernel_eval, kernel_matrix, predict_svr, usable_samples,
+    KernelSpec, Standardizer, SvrModel, kernel_matrix, usable_samples,
 )
 from glucokit.regressors.base import design_arrays
 from glucokit.regressors.svr import (
-    KKT_TOL, MAX_SMO_ITERS, _solve_smo, default_hyperparams, svr_decision,
+    KKT_TOL, MAX_SMO_ITERS, _solve_smo, default_hyperparams,
 )
 
 from oracles import brute_force_svr_dual, svr_dual_objective, svr_kkt_violations
@@ -45,10 +45,10 @@ class TestKernels:
     def test_values_on_hand_vectors(self):
         u, v = np.array([1.0, 2.0, 0.5]), np.array([0.5, -1.0, 2.0])
         dot = float(u @ v)
-        assert kernel_eval(KernelSpec("linear"), u, v) == dot
-        assert kernel_eval(KernelSpec("quadratic"), u, v) == (1 + dot) ** 2
-        assert kernel_eval(KernelSpec("cubic"), u, v) == (1 + dot) ** 3
-        g = kernel_eval(KernelSpec("gaussian", 2.0), u, v)
+        assert kernel_matrix(KernelSpec("linear"), [u], [v])[0, 0] == dot
+        assert kernel_matrix(KernelSpec("quadratic"), [u], [v])[0, 0] == (1 + dot) ** 2
+        assert kernel_matrix(KernelSpec("cubic"), [u], [v])[0, 0] == (1 + dot) ** 3
+        g = kernel_matrix(KernelSpec("gaussian", 2.0), [u], [v])[0, 0]
         assert g == pytest.approx(math.exp(-float(((u - v) ** 2).sum()) / 8.0))
 
     def test_named_gaussian_scales(self):
@@ -73,7 +73,7 @@ class TestKernels:
             K = kernel_matrix(k, A)
             for i in range(6):
                 for j in range(6):
-                    assert K[i, j] == pytest.approx(kernel_eval(k, A[i], A[j]),
+                    assert K[i, j] == pytest.approx(kernel_matrix(k, [A[i]], [A[j]])[0, 0],
                                                     rel=1e-12, abs=1e-12)
 
     def test_gaussian_gram_is_psd(self):
@@ -85,7 +85,7 @@ class TestKernels:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
-            kernel_eval(KernelSpec("linear"), np.ones(3), np.ones(4))
+            kernel_matrix(KernelSpec("linear"), [np.ones(3)], [np.ones(4)])
 
 
 class TestDefaultHyperparams:
@@ -110,7 +110,7 @@ class TestDualOracle:
             n = int(rng.integers(4, 9))
             data = make_dataset(n, seed=int(rng.integers(10_000)))
             eps, c = 0.1, 2.0
-            m = fit_svr(data, "capillary", kernel, eps=eps, c=c)
+            m = SvrModel.fit_dataset(data, "capillary", kernel=kernel, eps=eps, c=c)[0]
             Xs = np.asarray(m.train_inputs)
             K = kernel_matrix(kernel, Xs)
             rows = sorted(data.samples, key=lambda s: s.id)
@@ -125,17 +125,18 @@ class TestDualOracle:
     def test_two_point_interpolation(self):
         # with eps=0 and generous C the fit must pass through both points
         data = make_dataset(2, seed=5)
-        m = fit_svr(data, "capillary", KernelSpec("linear"), eps=0.0, c=100.0)
+        m = SvrModel.fit_dataset(data, "capillary", kernel=KernelSpec("linear"),
+                                 eps=0.0, c=100.0)[0]
         for s in data.samples:
-            pred = predict_svr(m, s.voltages)
+            pred = m.predict_batch([s.voltages])[0]
             assert pred.value_mgdl == pytest.approx(s.capillary.value_mgdl, abs=1e-3)
 
 
 class TestTubeStructure:
     def test_points_inside_tube_carry_zero_beta(self):
         data = make_dataset(30, seed=21)
-        m = fit_svr(data, "capillary", KernelSpec.gaussian("medium"),
-                    eps=0.3, c=5.0)
+        m = SvrModel.fit_dataset(data, "capillary", kernel=KernelSpec.gaussian("medium"),
+                                 eps=0.3, c=5.0)[0]
         Xs = np.asarray(m.train_inputs)
         K = kernel_matrix(m.kernel, Xs)
         rows = sorted(data.samples, key=lambda s: s.id)
@@ -147,7 +148,8 @@ class TestTubeStructure:
 
     def test_beta_respects_box(self):
         data = make_dataset(25, seed=13)
-        m = fit_svr(data, "capillary", KernelSpec("quadratic"), eps=0.05, c=0.7)
+        m = SvrModel.fit_dataset(data, "capillary", kernel=KernelSpec("quadratic"),
+                                 eps=0.05, c=0.7)[0]
         assert np.all(np.abs(np.asarray(m.beta)) <= 0.7 + 1e-9)
         assert abs(sum(m.beta)) <= 1e-8 * 0.7 * 25
 
@@ -156,30 +158,30 @@ class TestFitBehavior:
     def test_needs_two_samples(self):
         data = make_dataset(1, seed=2)
         with pytest.raises(DataError):
-            fit_svr(data, "capillary", KernelSpec("linear"))
+            SvrModel.fit_dataset(data, "capillary", kernel=KernelSpec("linear"))[0]
 
     def test_order_invariance(self):
         data = make_dataset(20, seed=30)
         shuffled = Dataset(tuple(reversed(data.samples)))
         k = KernelSpec.gaussian("fine")
-        a = fit_svr(data, "capillary", k, eps=0.1, c=1.0)
-        b = fit_svr(shuffled, "capillary", k, eps=0.1, c=1.0)
+        a = SvrModel.fit_dataset(data, "capillary", kernel=k, eps=0.1, c=1.0)[0]
+        b = SvrModel.fit_dataset(shuffled, "capillary", kernel=k, eps=0.1, c=1.0)[0]
         probe = ChannelVoltages(2300.0, 2100.0, 1800.0)
-        assert predict_svr(a, probe).value_mgdl == predict_svr(b, probe).value_mgdl
+        assert a.predict_batch([probe])[0].value_mgdl == b.predict_batch([probe])[0].value_mgdl
 
     def test_deterministic(self):
         data = make_dataset(20, seed=30)
         k = KernelSpec("cubic")
-        a = fit_svr(data, "capillary", k)
-        b = fit_svr(data, "capillary", k)
+        a = SvrModel.fit_dataset(data, "capillary", kernel=k)[0]
+        b = SvrModel.fit_dataset(data, "capillary", kernel=k)[0]
         assert a.beta == b.beta and a.bias == b.bias
 
     def test_bad_hyperparams_rejected(self):
         data = make_dataset(10, seed=1)
         with pytest.raises(DataError):
-            fit_svr(data, "capillary", KernelSpec("linear"), eps=-0.1)
+            SvrModel.fit_dataset(data, "capillary", kernel=KernelSpec("linear"), eps=-0.1)[0]
         with pytest.raises(DataError):
-            fit_svr(data, "capillary", KernelSpec("linear"), c=0.0)
+            SvrModel.fit_dataset(data, "capillary", kernel=KernelSpec("linear"), c=0.0)[0]
 
     def test_non_psd_gram_raises_solver_error(self, monkeypatch):
         data = make_dataset(10, seed=4)
@@ -192,15 +194,15 @@ class TestFitBehavior:
         monkeypatch.setattr("glucokit.regressors.svr.kernel_matrix",
                             lambda k, A, B=None: bad_gram(k, A, B))
         with pytest.raises(SolverError, match="PSD"):
-            fit_svr(data, "capillary", KernelSpec("linear"))
+            SvrModel.fit_dataset(data, "capillary", kernel=KernelSpec("linear"))[0]
 
     def test_decision_consistent_with_predict(self):
         data = make_dataset(15, seed=44)
-        m = fit_svr(data, "capillary", KernelSpec.gaussian("coarse"))
+        m = SvrModel.fit_dataset(data, "capillary", kernel=KernelSpec.gaussian("coarse"))[0]
         v = data.samples[3].voltages
         z = m.x_scaler.transform(v.as_array())
-        manual = float(m.y_scaler.inverse(np.array([svr_decision(m, z)]))[0])
-        assert predict_svr(m, v).value_mgdl == pytest.approx(manual)
+        manual = float(m.y_scaler.inverse(m.decision(z[None, :]))[0])
+        assert m.predict_batch([v])[0].value_mgdl == pytest.approx(manual)
 
 
 class TestWorkingSetSelection:
@@ -214,7 +216,7 @@ class TestWorkingSetSelection:
         return split_dataset(ds, seed=42, fractions=(0.6, 0.4, 0.0)).subset("calibration")
 
     def test_quadratic_converges(self, calibration):
-        m = fit_svr(calibration, "capillary", KernelSpec("quadratic"))
+        m = SvrModel.fit_dataset(calibration, "capillary", kernel=KernelSpec("quadratic"))[0]
         assert 0 < m.support_count() < len(calibration.samples)
 
     def test_fine_gaussian_iteration_count(self, calibration):
