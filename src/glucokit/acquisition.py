@@ -10,15 +10,13 @@ smooth enough for cubic-polynomial calibration to work. Everything downstream
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from typing import Annotated, ClassVar
+from typing import Annotated
 
 import numpy as np
 
-from .data import (Checked, ChannelVoltages, Dataset, GlucoseValue, MODES, Rule, SEXES, Sample,
-                   json_reader)
+from .data import Checked, ChannelVoltages, Dataset, GlucoseValue, MODES, Rule, SEXES, Sample
 from .errors import DataError
 
 GLUCOSE_MIN_MGDL = 40.0
@@ -31,21 +29,9 @@ MAX_N_RAW = 65_536
 MAX_SAMPLES = 100_000
 
 
-class _ConfigSection:
-    """from_dict for a config dataclass, its JSON object under key `section`."""
-
-    section: ClassVar[str]
-
-    @classmethod
-    def from_dict(cls, d):
-        return json_reader(cls, cls.section)(d)
-
-
 @dataclass(frozen=True)
-class AdcConfig(_ConfigSection, Checked):
+class AdcConfig(Checked):
     """Analog-to-digital converter geometry."""
-
-    section: ClassVar[str] = "adc"
 
     bits: Annotated[int, Rule(ge=8, le=24)] = 16
     sample_rate_hz: Annotated[float, Rule(gt=0)] = 128.0
@@ -61,15 +47,13 @@ class AdcConfig(_ConfigSection, Checked):
 
 
 @dataclass(frozen=True)
-class ForwardModelConfig(_ConfigSection, Checked):
+class ForwardModelConfig(Checked):
     """Parameters of the optical transfer model v_i = b_i * exp(-k_i * g).
 
     Baselines are the zero-glucose detector voltages; k is the per-channel
     attenuation per mg/dl. Defaults keep voltages within roughly
     [1500, 2900] mV over glucose 40..420, well inside a 5000 mV FSR.
     """
-
-    section: ClassVar[str] = "forward_model"
 
     baselines_mv: Annotated[tuple[float, float, float], Rule(gt=0)] = (3000.0, 2600.0, 2200.0)
     k_per_mgdl: Annotated[tuple[float, float, float], Rule(gt=0)] = (0.0016, 0.0011, 0.0007)
@@ -229,22 +213,3 @@ def generate_dataset(
         samples.append(s)
     return Dataset(tuple(samples))
 
-
-def load_configs(path) -> tuple[ForwardModelConfig, AdcConfig]:
-    """Read {"forward_model": {...}, "adc": {...}} from a JSON document.
-
-    Both sections are optional; missing keys take the dataclass defaults.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # invalid JSON, invalid UTF-8, or too deep
-        raise DataError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: config document must be a JSON object")
-    bad = set(doc) - {"forward_model", "adc"}
-    if bad:
-        raise DataError(f"{path}: unknown config sections: {sorted(bad)}")
-    fm = ForwardModelConfig.from_dict(doc.get("forward_model", {}))
-    adc = AdcConfig.from_dict(doc.get("adc", {}))
-    return fm, adc

@@ -38,6 +38,7 @@ from .data import (
     export_csv,
     json_reader,
     load_csv,
+    read_json_object,
     split_dataset,
 )
 from .errors import DataError, NetworkError, SolverError
@@ -64,18 +65,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _read_json_object(path: str, what: str) -> dict:
-    """The JSON object in the file at path; what names the file in errors."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as e:  # invalid JSON, invalid UTF-8, or too deep
-        raise DataError(f"{what} {path}: not valid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise DataError(f"{what} {path}: top level must be a JSON object")
-    return doc
 
 
 def _layer_defaults(parser: argparse.ArgumentParser, *layers: dict) -> None:
@@ -175,8 +164,9 @@ def cmd_simulate(args, config: dict) -> int:
     lo, hi = args.range
     serum_delta = None if args.no_serum else args.serum_delta
 
-    fm = acquisition.ForwardModelConfig.from_dict(config.get("forward_model", {}))
-    adc = acquisition.AdcConfig.from_dict(config.get("adc", {}))
+    fm = json_reader(acquisition.ForwardModelConfig, "forward_model")(
+        config.get("forward_model", {}))
+    adc = json_reader(acquisition.AdcConfig, "adc")(config.get("adc", {}))
     if args.seed is not None:
         fm = dataclasses.replace(fm, seed=args.seed)
     if args.noise_sd is not None:
@@ -379,7 +369,7 @@ _REPORT_COLUMNS = ("model", "kind", "split", "n", "mARD %", "AvgE %",
 
 
 def _report_row(path: str) -> list[str]:
-    doc = _read_json_object(path, "report")
+    doc = read_json_object(path, "report")
 
     def field(dotted: str, hint):
         value = doc
@@ -545,7 +535,7 @@ def main(argv=None) -> int:
             print("glucokit: a COMMAND is required", file=sys.stderr)
             return 1
         # parse again with config, then env, values as the command's defaults
-        config = {} if args.config is None else _read_json_object(args.config, "config")
+        config = {} if args.config is None else read_json_object(args.config, "config")
         env = {flag: os.environ[var]
                for var, flag in ENV_FLAGS.items() if var in os.environ}
         commands = next(a for a in parser._actions if a.dest == "command").choices

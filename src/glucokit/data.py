@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 import math
 import re
 import sys
@@ -229,6 +230,19 @@ class Dataset:
 
     def with_splits(self, labels: dict[str, str]) -> "Dataset":
         return Dataset(self.samples, dict(labels))
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at path, for json_reader to read; what
+    names the file in errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as e:  # invalid JSON, invalid UTF-8, or too deep
+        raise DataError(f"{what} {path}: not valid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} {path}: top level must be a JSON object")
+    return doc
 
 
 @functools.cache

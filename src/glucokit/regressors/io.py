@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..data import GLUCOSE_KINDS, ChannelVoltages
+from ..data import GLUCOSE_KINDS, ChannelVoltages, read_json_object
 from ..errors import DataError
 from .base import FamilyModel, Prediction
 from .dnn import DnnModel
@@ -99,9 +99,4 @@ def save_model(tm: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # invalid JSON, invalid UTF-8, or too deep
-        raise DataError(f"{path}: invalid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json_object(path, "model"))

@@ -192,7 +192,7 @@ class UploadQueue:
         self._acked = set(_read_lines(self._path(ACKED_LOG)))
         self._read_log(LAST_TIMESTAMPS, self._load_last_timestamps)
         self._read_log(DEADLETTER_LOG, self._load_dead_letter)
-        self._read_log(QUEUE_LOG, self._load_queued)
+        self._read_log(QUEUE_LOG, lambda entry: self._take(ReadingRecord.from_wire(entry)))
 
     def _read_log(self, name: str, load_entry) -> None:
         for lineno, line in enumerate(_read_lines(self._path(name)), start=1):
@@ -216,8 +216,9 @@ class UploadQueue:
         rec = ReadingRecord.from_wire(entry)
         self._dead[rec.reading_id] = (rec, reason)
 
-    def _load_queued(self, d) -> None:
-        rec = ReadingRecord.from_wire(d)
+    def _take(self, rec: ReadingRecord) -> None:
+        """Take a queue.log record into the state: its id, its device's last
+        timestamp and, unless acked or dead-lettered, the pending records."""
         rid, device, ts = rec.reading_id, rec.device_id, rec.timestamp_utc
         if rid not in self._acked and rid not in self._dead:
             self._pending[rid] = rec
@@ -274,10 +275,7 @@ class UploadQueue:
                     f"timestamp {prev} for device {record.device_id!r}"
                 )
             self._append(QUEUE_LOG, json.dumps(record.to_wire(), sort_keys=True))
-            self._ids.add(record.reading_id)
-            if record.reading_id not in self._acked and record.reading_id not in self._dead:
-                self._pending[record.reading_id] = record
-            self._last_ts[record.device_id] = record.timestamp_utc
+            self._take(record)
 
     def pending(self) -> list[ReadingRecord]:
         """Unacknowledged, non-dead records in enqueue order."""

@@ -13,10 +13,10 @@ from glucokit.acquisition import (
     adc_quantize,
     coherent_average,
     generate_dataset,
-    load_configs,
     simulate_sample,
 )
-from glucokit.data import GlucoseValue
+from glucokit.cli import main
+from glucokit.data import GlucoseValue, json_reader, read_json_object
 from glucokit.errors import DataError
 
 
@@ -37,7 +37,7 @@ class TestAdcConfig:
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(DataError, match="resolution"):
-            AdcConfig.from_dict({"resolution": 12})
+            json_reader(AdcConfig, "adc")({"resolution": 12})
 
 
 class TestQuantizer:
@@ -183,7 +183,16 @@ class TestGenerateDataset:
         assert a == b
 
 
+def simulate_with_config(path, tmp_path, capsys):
+    """Exit code and stderr of a small simulate run configured by the file at path."""
+    rc = main(["simulate", "--config", str(path), "--n", "9", "--n-raw", "4",
+               "--out", str(tmp_path / "d.csv")])
+    return rc, capsys.readouterr().err
+
+
 class TestLoadConfigs:
+    """The config file's two simulator sections, read as simulate reads them."""
+
     def test_round_trip_from_file(self, tmp_path):
         doc = {
             "forward_model": {"noise_sd_mv": 3.0, "seed": 4},
@@ -191,24 +200,26 @@ class TestLoadConfigs:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        fm, adc = load_configs(path)
+        config = read_json_object(path, "config")
+        fm = json_reader(ForwardModelConfig, "forward_model")(config["forward_model"])
+        adc = json_reader(AdcConfig, "adc")(config["adc"])
         assert fm.noise_sd_mv == 3.0 and fm.seed == 4
         assert adc.bits == 12 and adc.fsr_mv == 3300.0
 
-    def test_invalid_utf8_is_a_data_error(self, tmp_path):
+    def test_invalid_utf8_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_bytes(b"\xff\xfe {}")
-        with pytest.raises(DataError, match="invalid JSON"):
-            load_configs(path)
+        rc, err = simulate_with_config(path, tmp_path, capsys)
+        assert rc == 2 and f"data error: config {path}: not valid JSON (" in err
 
-    def test_section_of_the_wrong_type_rejected(self, tmp_path):
+    def test_section_of_the_wrong_type_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"forward_model": {"k_per_mgdl": [0.001, "x", 0.001]}}))
-        with pytest.raises(DataError, match="k_per_mgdl: wants an array of numbers"):
-            load_configs(path)
+        rc, err = simulate_with_config(path, tmp_path, capsys)
+        assert rc == 2 and "forward_model.k_per_mgdl: wants an array of numbers" in err
 
-    def test_unknown_section_key_rejected(self, tmp_path):
+    def test_unknown_section_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"forward_model": {"gain": 2.0}, "adc": {}}))
-        with pytest.raises(DataError, match="gain"):
-            load_configs(path)
+        rc, err = simulate_with_config(path, tmp_path, capsys)
+        assert rc == 2 and "forward_model: unknown keys ['gain']" in err

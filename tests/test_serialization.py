@@ -176,7 +176,7 @@ class TestMalformedDocuments:
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")
-        with pytest.raises(DataError, match="invalid JSON"):
+        with pytest.raises(DataError, match="not valid JSON"):
             load_model(path)
 
 

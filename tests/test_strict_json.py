@@ -7,6 +7,7 @@ import functools
 import http.client
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +17,10 @@ from glucokit.acquisition import (
     AdcConfig,
     ForwardModelConfig,
     generate_dataset,
-    load_configs,
     simulate_sample,
 )
 from glucokit.cli import main
-from glucokit.data import GlucoseValue
+from glucokit.data import GlucoseValue, json_reader, read_json_object
 from glucokit.errors import DataError
 from glucokit.regressors import (
     MODEL_SPECS,
@@ -166,21 +166,24 @@ class TestSimulatorConfig:
     def test_mistyped_value_is_a_data_error(self, section, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(section))
-        with pytest.raises(DataError, match=r"^(forward_model|adc)\.\w+: "):
-            load_configs(path)
+        rc, out, err = run(["simulate", "--config", str(path), "--n", "9", "--n-raw", "4",
+                            "--out", str(tmp_path / "d.csv")])
+        assert_one_line_data_error(rc, out, err)
+        assert re.match(r"^glucokit: data error: (forward_model|adc)\.\w+: ", err)
 
     def test_integers_read_as_floats(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"forward_model": {"baselines_mv": [3000, 2600, 2200]}}))
-        fm, _ = load_configs(path)
+        fm = json_reader(ForwardModelConfig, "forward_model")(
+            read_json_object(path, "config")["forward_model"])
         assert fm.baselines_mv == (3000.0, 2600.0, 2200.0)
         assert {type(b) for b in fm.baselines_mv} == {float}
 
     def test_deeply_nested_config_is_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(DEEP)
-        with pytest.raises(DataError, match="invalid JSON"):
-            load_configs(path)
+        with pytest.raises(DataError, match=f"^config {re.escape(str(path))}: not valid JSON \\("):
+            read_json_object(path, "config")
 
 
 class TestDeeplyNestedInputs:
