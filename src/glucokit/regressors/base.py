@@ -15,6 +15,7 @@ from ..errors import DataError
 
 CLAMP_LO_MGDL = 10.0
 CLAMP_HI_MGDL = 600.0
+N_PREDICTORS = 3  # every family predicts from the three channel voltages
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,15 @@ class FamilyModel:
     min_samples = 2
     standardize_response = True
 
+    def __post_init__(self):
+        """The check every family shares: x_scaler scales the N_PREDICTORS
+        inputs and y_scaler the one response."""
+        for name, width in (("x_scaler", N_PREDICTORS), ("y_scaler", 1)):
+            scaler = getattr(self, name)
+            if len(scaler.means) != width or len(scaler.stds) != width:
+                raise DataError(f"{name} must scale {width} column{'s' * (width > 1)}, got "
+                                f"{len(scaler.means)} means and {len(scaler.stds)} stds")
+
     @classmethod
     def fit_dataset(cls, train: Dataset, kind: str, seed: int = 0,
                     **options) -> tuple[FamilyModel, dict, list[Sample]]:
@@ -128,7 +138,7 @@ class FamilyModel:
 
     def predict_batch(self, voltages: list[ChannelVoltages]) -> list[Prediction]:
         """Every prediction of every family: standardize, decide, de-standardize, clamp."""
-        V = np.array([v.as_array() for v in voltages], dtype=float).reshape(-1, 3)
+        V = np.array([v.as_array() for v in voltages], dtype=float).reshape(-1, N_PREDICTORS)
         raw = self.y_scaler.inverse(self.decision(self.x_scaler.transform(V)))
         values, clamped = clamp_glucose(raw)
         return [Prediction(float(x), self.glucose_kind, bool(c))

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..data import Checked, Rule
 from ..errors import DataError, SolverError
-from .base import FamilyModel, Standardizer
+from .base import N_PREDICTORS, FamilyModel, Standardizer
 
 LAMBDA_LIMIT = 1e10
 LAMBDA_STEP = 10.0
@@ -73,8 +73,10 @@ class DnnModel(FamilyModel):
     glucose_kind: str
 
     def __post_init__(self):
-        if len(self.widths) < 3 or self.widths[-1] != 1:
-            raise DataError("network needs >= 1 hidden layer and a single output")
+        super().__post_init__()
+        if len(self.widths) < 3 or self.widths[0] != N_PREDICTORS or self.widths[-1] != 1:
+            raise DataError(f"network needs {N_PREDICTORS} inputs, >= 1 hidden layer and "
+                            f"a single output, got widths {self.widths}")
         if len(self.weights) != len(self.widths) - 1 or len(self.biases) != len(self.widths) - 1:
             raise DataError("one weight matrix and bias vector per layer required")
         parts = []

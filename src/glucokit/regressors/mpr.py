@@ -39,7 +39,8 @@ class Mpr3Model(FamilyModel, Checked):
     glucose_kind: GlucoseKind
 
     def __post_init__(self):
-        super().__post_init__()
+        FamilyModel.__post_init__(self)
+        Checked.__post_init__(self)
         if len(self.coefficients) != N_FEATURES:
             raise DataError(f"expected {N_FEATURES} coefficients, got {len(self.coefficients)}")
 

@@ -25,10 +25,9 @@ import numpy as np
 
 from ..data import Checked, Rule
 from ..errors import DataError, SolverError
-from .base import FamilyModel, Standardizer
+from .base import N_PREDICTORS, FamilyModel, Standardizer
 
 KERNEL_KINDS = ("linear", "quadratic", "cubic", "gaussian")
-N_PREDICTORS = 3
 KKT_TOL = 1e-6
 MAX_SMO_ITERS = 100_000
 
@@ -99,6 +98,7 @@ class SvrModel(FamilyModel):
     glucose_kind: str
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.beta) != len(self.train_inputs):
             raise DataError("beta and retained inputs must have equal length")
         # array copies of the tuple fields, derived once; not fields, so they

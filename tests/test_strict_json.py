@@ -83,6 +83,16 @@ BAD_DOCUMENTS = {
     "spec-of-another-family": ("mpr3", set_leaf("spec"), lambda v: "svr:cubic"),
     "spec-number": ("mpr3", set_leaf("spec"), lambda v: 5),
     "spec-against-params": ("svr:linear", set_leaf("spec"), lambda v: "svr:cubic"),
+    "x-scaler-four-means": ("svr:linear", set_leaf("params", "x_scaler", "means"),
+                            lambda means: means + [0.0]),
+    "x-scaler-one-column": ("mpr3", set_leaf("params", "x_scaler"),
+                            lambda s: {"means": s["means"][:1], "stds": s["stds"][:1]}),
+    "svr-y-scaler-two-columns": ("svr:linear", set_leaf("params", "y_scaler"),
+                                 lambda s: {"means": s["means"] * 2, "stds": s["stds"] * 2}),
+    "y-scaler-empty": ("dnn", set_leaf("params", "y_scaler"), lambda s: {"means": [], "stds": []}),
+    "dnn-two-inputs": ("dnn", set_leaf("params"), lambda p: dict(
+        p, widths=[2, *p["widths"][1:]],
+        weights=[[row[:2] for row in p["weights"][0]], *p["weights"][1:]])),
 }
 
 
