@@ -19,6 +19,8 @@ from .svr import SvrModel
 
 FORMAT_NAME = "glucokit-model"
 FORMAT_VERSION = 1
+DOCUMENT_KEYS = frozenset({"format", "version", "spec", "family", "glucose_kind", "metadata",
+                           "params"})
 
 # The one model-family lookup: family name -> the family's model class.
 FAMILIES: dict[str, type[FamilyModel]] = {m.family: m for m in (Mpr3Model, SvrModel, DnnModel)}
@@ -67,6 +69,8 @@ def model_from_dict(doc: dict) -> TrainedModel:
         raise DataError("not a model document (missing format marker)")
     if doc.get("version") != FORMAT_VERSION:
         raise DataError(f"unsupported model document version {doc.get('version')!r}")
+    if doc.keys() - DOCUMENT_KEYS:
+        raise DataError(f"model document: unknown keys {sorted(doc.keys() - DOCUMENT_KEYS)}")
     try:
         kind = doc["glucose_kind"]
         family = doc["family"]
@@ -78,10 +82,10 @@ def model_from_dict(doc: dict) -> TrainedModel:
         if kind not in GLUCOSE_KINDS:
             raise DataError(f"glucose_kind must be one of {GLUCOSE_KINDS}, got {kind!r}")
         cls = FAMILIES[family]
-        spec = doc.get("spec", family)
+        spec = doc["spec"]
         if spec not in cls.specs:
             raise DataError(f"spec must be one of {family}'s {tuple(cls.specs)}, got {spec!r}")
-        metadata = doc.get("metadata", {})
+        metadata = doc["metadata"]
         if type(metadata) is not dict:
             raise DataError(f"metadata must be a JSON object, got {metadata!r}")
         model = cls.from_params(params, kind)

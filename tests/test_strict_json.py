@@ -67,6 +67,11 @@ def set_leaf(*path):
     return change
 
 
+def drop(doc, key):
+    """A change that removes a top-level key from a document."""
+    del doc[key]
+
+
 # case -> (spec of the fitted document, the change that breaks it)
 BAD_DOCUMENTS = {
     "mpr3-intercept-true": ("mpr3", set_leaf("params", "intercept"), lambda v: True),
@@ -93,6 +98,9 @@ BAD_DOCUMENTS = {
     "dnn-two-inputs": ("dnn", set_leaf("params"), lambda p: dict(
         p, widths=[2, *p["widths"][1:]],
         weights=[[row[:2] for row in p["weights"][0]], *p["weights"][1:]])),
+    "no-spec": ("mpr3", drop, "spec"),
+    "no-metadata": ("mpr3", drop, "metadata"),
+    "unknown-top-level-key": ("mpr3", dict.update, {"surprise": 1}),
 }
 
 
