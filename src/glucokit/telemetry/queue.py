@@ -69,7 +69,10 @@ WIRE_FIELDS = (
 
 _WIRE_KEYS = frozenset(WIRE_FIELDS)
 
-_TIMESTAMP = r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z"  # e.g. 2026-01-31T08:15:00Z
+# e.g. 2026-01-31T08:15:00Z: months 01-12, days 01-31, hours 00-23, minutes and
+# seconds 00-59, ASCII digits only (\d would take any script's digits)
+_TIMESTAMP = (r"[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])"
+              r"T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]Z")
 _Id = Annotated[str, Rule(nonempty=True, says="{name} must be a non-empty string, got {v}")]
 
 # the C scanner behind json.loads, without its whitespace stripping: each log

@@ -152,6 +152,9 @@ class TestReadingRecord:
         "2026-02-01 08:00:00",       # missing T/Z
         "2026-02-01T08:00:00+00:00", # offset form not accepted
         "2026-2-1T08:00:00Z",        # unpadded
+        "2026-13-45T99:99:99Z",      # no such month, day, hour, minute or second
+        "2026-02-01T24:00:00Z",      # hours run 00-23
+        "\u0662\u0660\u0662\u0666-02-01T08:00:00Z",  # Arabic-Indic digits
     ])
     def test_timestamp_shape_enforced(self, ts):
         with pytest.raises(DataError, match="timestamp"):
