@@ -174,6 +174,86 @@ class TestMutatedParamsProperty:
         assert canonical(model_to_dict(back)["params"]) == canonical(doc["params"])
 
 
+# a small simulate config that sets both sections and some flags
+CONFIG = json.dumps({
+    "forward_model": {"baselines_mv": [3000.0, 2600.0, 2200.0], "noise_sd_mv": 2.0, "seed": 3},
+    "adc": {"bits": 16, "sample_rate_hz": 128.0, "fsr_mv": 5000.0},
+    "range": "80:200", "serum_delta": 0.05, "id_prefix": "fz",
+}, indent=2)
+
+
+@functools.cache
+def small_report(base) -> str:
+    """The report.json that validate writes for a small mpr3 model, made under base."""
+    directory = base / "small-report"
+    directory.mkdir()
+    model, data = directory / "model.json", directory / "data.csv"
+    model.write_text(small_document("mpr3"))
+    assert run(["simulate", "--n", "30", "--n-raw", "8", "--seed", "2", "--out", str(data)])[0] == 0
+    assert run(["validate", "--model", str(model), "--data", str(data),
+                "--out-dir", str(directory)])[0] == 0
+    return (directory / "report.json").read_text()
+
+
+@st.composite
+def mutated(draw, text: str) -> bytes:
+    """text as UTF-8 bytes after one to three mutations: a bit flip, a
+    truncation, inserted bytes, an invalid UTF-8 sequence, or a line copied
+    or dropped, which more often leaves valid JSON with a wrong shape."""
+    data = bytearray(text.encode())
+    positions = draw(st.randoms(use_true_random=False))  # uniform; integers() favour the start
+    for _ in range(draw(st.integers(1, 3))):
+        at = positions.randint(0, len(data))
+        how = draw(st.sampled_from(("flip", "truncate", "insert", "invalid-utf8",
+                                    "copy-line", "drop-line")))
+        if how == "flip" and data:
+            data[min(at, len(data) - 1)] ^= 1 << draw(st.integers(0, 7))
+        elif how == "truncate":
+            del data[at:]
+        elif how == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+        elif how == "invalid-utf8":  # a stray continuation, a cut sequence, a surrogate
+            data[at:at] = draw(st.sampled_from((b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80")))
+        else:  # the line that holds position at
+            start = data.rfind(b"\n", 0, at) + 1
+            end = data.find(b"\n", at) + 1 or len(data)
+            data[start:end] = data[start:end] * 2 if how == "copy-line" else b""
+    return bytes(data)
+
+
+class TestMutatedFiles:
+    """Byte-mutated model, config and report files given to glucokit end in
+    exit 0, 1 or 2, with one line on stderr when not 0."""
+
+    @staticmethod
+    def check(rc, out, err):
+        assert rc in (0, 1, 2)
+        if rc:
+            assert err.startswith("glucokit: ") and err.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_model(self, data, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "mutated-model.json"
+        path.write_bytes(data.draw(mutated(small_document(data.draw(st.sampled_from(MODEL_SPECS))))))
+        self.check(*run(["predict", "--model", str(path), "--json", *READING]))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_config(self, data, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "mutated-config.json"
+        path.write_bytes(data.draw(mutated(CONFIG)))
+        self.check(*run(["simulate", "--config", str(path), "--n", "9", "--n-raw", "4",
+                         "--out", str(path.with_suffix(".csv"))]))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_report(self, data, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "mutated-report.json"
+        path.write_bytes(data.draw(mutated(small_report(tmp_path_factory.getbasetemp()))))
+        self.check(*run(["report", str(path)]))
+
+
 class TestSimulatorConfig:
     @pytest.mark.parametrize("section", [
         {"forward_model": {"baselines_mv": [3000.0, True, 2200.0]}},
