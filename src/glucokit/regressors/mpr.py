@@ -39,7 +39,7 @@ class Mpr3Model(FamilyModel, Checked):
     glucose_kind: GlucoseKind
 
     def __post_init__(self):
-        FamilyModel.__post_init__(self)
+        FamilyModel.__post_init__(self)  # which does not chain on to Checked's
         Checked.__post_init__(self)
         if len(self.coefficients) != N_FEATURES:
             raise DataError(f"expected {N_FEATURES} coefficients, got {len(self.coefficients)}")

@@ -234,8 +234,9 @@ class TestMutatedFiles:
     @settings(max_examples=300, deadline=None, database=None)
     @given(data=st.data())
     def test_model(self, data, tmp_path_factory):
+        spec = data.draw(st.sampled_from(MODEL_SPECS))
         path = tmp_path_factory.getbasetemp() / "mutated-model.json"
-        path.write_bytes(data.draw(mutated(small_document(data.draw(st.sampled_from(MODEL_SPECS))))))
+        path.write_bytes(data.draw(mutated(small_document(spec))))
         self.check(*run(["predict", "--model", str(path), "--json", *READING]))
 
     @settings(max_examples=100, deadline=None, database=None)
