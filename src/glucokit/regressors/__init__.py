@@ -28,13 +28,16 @@ fit_dataset prepares and standardizes the rows; predict_batch standardizes,
 decides, de-standardizes and clamps, the one numeric predict path (a single
 reading is a batch of one); params/from_params map the v1 document.
 
-Loading is strict. from_params reads params with data.json_reader, the one
-JSON decoder, which the simulator configs share: unknown keys, leaves of the
-wrong JSON type and integers beyond float range are DataErrors, and a missing
-key is named.
-model_from_dict also checks the identity fields that tag every enqueued
-reading: glucose_kind, spec (one of the family's specs, agreeing with the
-params) and metadata (an object).
+Loading is strict. load_model reads the file with data.read_json_object,
+which also reads configs and reports, and hands the object to
+model_from_dict. That takes exactly the seven top-level keys model_to_dict
+writes, naming a missing one, and checks the identity fields that tag every
+enqueued reading: glucose_kind, spec (one of the family's specs, agreeing
+with the params) and metadata (an object). from_params reads params with
+data.json_reader, the one JSON decoder, which the simulator configs share:
+unknown keys, leaves of the wrong JSON type and integers beyond float range
+are DataErrors, and a missing key is named. FamilyModel then checks that
+x_scaler scales the 3 channels and y_scaler the one response.
 """
 
 from __future__ import annotations
