@@ -44,7 +44,7 @@ CSV_HEADER = (
 # a leaf type -> the types its values take in a field or in JSON, its name, its plural
 _LEAVES = {float: ({float, int, np.float64}, "a number", "numbers"),
            int: ({int}, "an integer", "integers"), str: ({str}, "a string", "strings"),
-           NoneType: ({NoneType}, "null", "nulls")}
+           NoneType: ({NoneType}, "null", "nulls"), dict: ({dict}, "an object", "objects")}
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,11 @@ class Rule:
 
 @functools.cache
 def _compile(cls) -> Callable:
-    """cls's check, written from the rules on its leaf fields (a float, int or
-    str, maybe None, or a flat tuple of one) as one function, as dataclasses
-    writes __init__: straight code costs a reading less than a loop over
-    rules. A float lies within +-sys.float_info.max, which NaN, the
-    infinities and ints beyond float range all fail."""
+    """cls's check, written from the rules on its leaf fields (a float, int,
+    str or object, maybe None, or a flat tuple of one) as one function, as
+    dataclasses writes __init__: straight code costs a reading less than a
+    loop over rules. A float lies within +-sys.float_info.max, which NaN,
+    the infinities and ints beyond float range all fail."""
     hints = get_type_hints(cls, include_extras=True)
     lines, scope = ["def check(obj):", "    pass"], {"refuse": _refuse}
     for f in fields(cls):
@@ -95,8 +95,8 @@ def _compile(cls) -> Callable:
                           f"c{i}": r.choices and frozenset(r.choices),
                           f"m{i}": r.pattern and re.compile(r.pattern).fullmatch,
                           f"s{i}": functools.partial(says.format, name=f.name)})
-            ok = [f"type(v) in t{i}", f"lo{i} <= v <= hi{i}" * (leaf is not str), "v" * r.nonempty,
-                  f"v in c{i}" * bool(r.choices), f"m{i}(v)" * bool(r.pattern)]
+            ok = [f"type(v) in t{i}", f"lo{i} <= v <= hi{i}" * (leaf in (int, float)),
+                  "v" * r.nonempty, f"v in c{i}" * bool(r.choices), f"m{i}(v)" * bool(r.pattern)]
             ok = "v is None or " * nullable + f"({' and '.join(filter(None, ok))})"
             get, tab = f"obj.{f.name}", "    " * many
             lines += [f"    if type({get}) is not tuple: refuse({get}, s{i})\n    for v in {get}:"
@@ -251,10 +251,11 @@ def json_reader(hint, where: str) -> Callable:
     documents, configs and reports; where names the value in errors. A
     dataclass is an object: unknown keys are refused, and a missing key takes
     its field's default or, if it has none, is a KeyError naming where.key. A
-    tuple hint n deep is n levels of arrays. Each leaf has its hint's JSON
-    type (true and "0.25" are not numbers), and a number reads as a float.
-    Arrays are checked a level at a time at C speed, since every model load
-    runs this. Anything else is a DataError."""
+    dict hint takes any object as it is. A tuple hint n deep is n levels of
+    arrays. Each leaf has its hint's JSON type (true and "0.25" are not
+    numbers), and a number reads as a float. Arrays are checked a level at a
+    time at C speed, since every model load runs this. Anything else is a
+    DataError."""
     if is_dataclass(hint):
         hints = get_type_hints(hint)
         readers = {f.name: json_reader(hints[f.name], f"{where}.{f.name}") for f in fields(hint)}

@@ -182,9 +182,3 @@ def paired_readings(model, data: Dataset, kind: str) -> PairedReadings:
             "split": data.split_labels.get(s.id, ""),
         } for s in rows),
     )
-
-
-def evaluate(model, data: Dataset, kind: str) -> tuple[MetricsReport, CegResult]:
-    """Metrics + Clarke analysis of a model over a dataset, deterministic."""
-    p = paired_readings(model, data, kind)
-    return metrics_report(p), ceg_analyze(p)

@@ -30,14 +30,16 @@ reading is a batch of one); params/from_params map the v1 document.
 
 Loading is strict. load_model reads the file with data.read_json_object,
 which also reads configs and reports, and hands the object to
-model_from_dict. That takes exactly the seven top-level keys model_to_dict
-writes, naming a missing one, and checks the identity fields that tag every
-enqueued reading: glucose_kind, spec (one of the family's specs, agreeing
-with the params) and metadata (an object). from_params reads params with
-data.json_reader, the one JSON decoder, which the simulator configs share:
-unknown keys, leaves of the wrong JSON type and integers beyond float range
-are DataErrors, and a missing key is named. FamilyModel then checks that
-x_scaler scales the 3 channels and y_scaler the one response.
+model_from_dict. That reads the top level with data.json_reader, the one
+JSON decoder, which the simulator configs share, as an io.ModelDocument: the
+seven fields model_to_dict writes, each with its declared rule (the format
+marker, the integer version 1, a known family, a capillary or serum
+glucose_kind, metadata and params objects). It then checks that spec is one
+of the family's specs and agrees with the params. from_params reads params
+with data.json_reader too. At both levels unknown keys, leaves of the wrong
+JSON type and integers beyond float range are DataErrors, and a missing key
+is named. FamilyModel then checks that x_scaler scales the 3 channels and
+y_scaler the one response.
 """
 
 from __future__ import annotations

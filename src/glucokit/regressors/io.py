@@ -8,9 +8,10 @@ model. Unknown versions and malformed documents are rejected loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Annotated
 
-from ..data import GLUCOSE_KINDS, ChannelVoltages, read_json_object
+from ..data import ChannelVoltages, Checked, GlucoseKind, Rule, json_reader, read_json_object
 from ..errors import DataError
 from .base import FamilyModel, Prediction
 from .dnn import DnnModel
@@ -19,11 +20,23 @@ from .svr import SvrModel
 
 FORMAT_NAME = "glucokit-model"
 FORMAT_VERSION = 1
-DOCUMENT_KEYS = frozenset({"format", "version", "spec", "family", "glucose_kind", "metadata",
-                           "params"})
 
 # The one model-family lookup: family name -> the family's model class.
 FAMILIES: dict[str, type[FamilyModel]] = {m.family: m for m in (Mpr3Model, SvrModel, DnnModel)}
+
+
+@dataclass(frozen=True)
+class ModelDocument(Checked):
+    """The top level of a v1 model document, its fields in the order written."""
+
+    format: Annotated[str, Rule(choices=(FORMAT_NAME,),
+                                says="not a model document (missing format marker)")]
+    version: Annotated[int, Rule(choices=(FORMAT_VERSION,))]
+    spec: str
+    family: Annotated[str, Rule(choices=tuple(FAMILIES), says="unknown model family {v}")]
+    glucose_kind: GlucoseKind
+    metadata: dict
+    params: dict
 
 
 @dataclass(frozen=True)
@@ -53,47 +66,24 @@ class TrainedModel:
 
 
 def model_to_dict(tm: TrainedModel) -> dict:
-    return {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "spec": tm.spec,
-        "family": tm.model.family,
-        "glucose_kind": tm.glucose_kind,
-        "metadata": dict(tm.metadata),
-        "params": tm.model.params(),
-    }
+    doc = ModelDocument(FORMAT_NAME, FORMAT_VERSION, tm.spec, tm.model.family, tm.glucose_kind,
+                        dict(tm.metadata), tm.model.params())
+    return {f.name: getattr(doc, f.name) for f in fields(doc)}
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
-        raise DataError("not a model document (missing format marker)")
-    if doc.get("version") != FORMAT_VERSION:
-        raise DataError(f"unsupported model document version {doc.get('version')!r}")
-    if doc.keys() - DOCUMENT_KEYS:
-        raise DataError(f"model document: unknown keys {sorted(doc.keys() - DOCUMENT_KEYS)}")
     try:
-        kind = doc["glucose_kind"]
-        family = doc["family"]
-        params = doc["params"]
-        if family not in FAMILIES:
-            raise DataError(f"unknown model family {family!r}")
-        # the identity fields tag every enqueued reading, so each must name
-        # something glucokit fits
-        if kind not in GLUCOSE_KINDS:
-            raise DataError(f"glucose_kind must be one of {GLUCOSE_KINDS}, got {kind!r}")
-        cls = FAMILIES[family]
-        spec = doc["spec"]
-        if spec not in cls.specs:
-            raise DataError(f"spec must be one of {family}'s {tuple(cls.specs)}, got {spec!r}")
-        metadata = doc["metadata"]
-        if type(metadata) is not dict:
-            raise DataError(f"metadata must be a JSON object, got {metadata!r}")
-        model = cls.from_params(params, kind)
-        if any(getattr(model, k) != v for k, v in cls.specs[spec].items()):
-            raise DataError(f"params do not match spec {spec!r}")
+        top = json_reader(ModelDocument, "model")(doc)
+        cls = FAMILIES[top.family]
+        if top.spec not in cls.specs:
+            raise DataError(f"spec must be one of {top.family}'s {tuple(cls.specs)}, "
+                            f"got {top.spec!r}")
+        model = cls.from_params(top.params, top.glucose_kind)
+        if any(getattr(model, k) != v for k, v in cls.specs[top.spec].items()):
+            raise DataError(f"params do not match spec {top.spec!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model document: {exc!r}") from None
-    return TrainedModel(spec=spec, model=model, metadata=dict(metadata))
+    return TrainedModel(spec=top.spec, model=model, metadata=dict(top.metadata))
 
 
 def save_model(tm: TrainedModel, path) -> None:

@@ -1,12 +1,12 @@
 """In-process mock of the readings endpoint, with fault injection.
 
-Serves the real wire protocol (POST /v1/readings) plus a /control surface for
-tests: fail-next (503s), reject-next (400s), drop-next (connection cut with no
-response) and store inspection. Latency, alternating 503s and reset are set in
-process, through faults and reset(). A reading
-is checked by ReadingRecord.from_wire, the upload queue's own rule, and one it
-refuses gets a 400 with its message. Runs a ThreadingHTTPServer on localhost
-in a daemon thread.
+Serves the real wire protocol, POST /v1/readings, and answers any other path
+404. Faults are set in process, through the faults dict: fail_next (503s),
+reject_next (400s), drop_next (connection cut with no response), latency and
+every_other (alternating 503s); snapshot() reads the store and reset() clears
+it and the faults. A reading is checked by ReadingRecord.from_wire, the upload
+queue's own rule, and one it refuses gets a 400 with its message. Runs a
+ThreadingHTTPServer on localhost in a daemon thread.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from ..errors import DataError, NetworkError
 from .queue import ReadingRecord
 
-_CONTROL_COUNTERS = ("fail_next", "reject_next", "drop_next")
-_NO_FAULTS = {**dict.fromkeys(_CONTROL_COUNTERS, 0), "latency": 0.0, "every_other": False}
+_FAULT_COUNTERS = ("fail_next", "reject_next", "drop_next")
+_NO_FAULTS = {**dict.fromkeys(_FAULT_COUNTERS, 0), "latency": 0.0, "every_other": False}
 
 
 class MockEndpoint:
@@ -69,7 +69,7 @@ class MockEndpoint:
     def take_fault(self) -> str | None:
         """Consume one pending fault, if any; returns its name."""
         with self._lock:
-            for name in _CONTROL_COUNTERS:
+            for name in _FAULT_COUNTERS:
                 if self.faults[name] > 0:
                     self.faults[name] -= 1
                     return name
@@ -140,13 +140,6 @@ def _make_handler(owner: MockEndpoint):
             body = self._read_body()
             if self.path == "/v1/readings":
                 return self._post_reading(body)
-            if self.path.startswith("/control/"):
-                return self._control(body)
-            self._reply(404, {"error": f"no such path {self.path}"})
-
-        def do_GET(self):
-            if self.path == "/control/store":
-                return self._reply(200, owner.snapshot())
             self._reply(404, {"error": f"no such path {self.path}"})
 
         def _post_reading(self, body: dict | None):
@@ -173,17 +166,5 @@ def _make_handler(owner: MockEndpoint):
                 return self._reply(400, {"error": str(exc)})
             owner.accept(body)
             self._reply(200, {"ack": body["reading_id"]})
-
-        def _control(self, body: dict | None):
-            name = self.path[len("/control/"):]
-            count = body.get("count", 1) if type(body) is dict else None
-            if type(count) is not int or count < 0:
-                return self._reply(400, {"error": "body must be a JSON object whose "
-                                                  "count is an integer >= 0"})
-            key = name.replace("-", "_")
-            if key in _CONTROL_COUNTERS:
-                owner.faults[key] += count
-                return self._reply(200, {"ok": True})
-            self._reply(404, {"error": f"no such control {name!r}"})
 
     return Handler

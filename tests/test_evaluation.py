@@ -1,4 +1,4 @@
-"""Error metrics, zone classification, and the evaluate/group helpers."""
+"""Error metrics, zone classification, and the pairing/group helpers."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from glucokit.evaluation import (
     avge,
     ceg_analyze,
     ceg_zone,
-    evaluate,
     group_readings,
     mad,
     mard,
@@ -192,7 +191,8 @@ class TestModelEvaluation:
     def test_evaluate_returns_consistent_pair(self, dataset_factory):
         data = dataset_factory(n=30, seed=2, noise_sd=1.0)
         model = fit_model("mpr3", data, "capillary")
-        rep, ceg = evaluate(model, data, "capillary")
+        p = paired_readings(model, data, "capillary")
+        rep, ceg = metrics_report(p), ceg_analyze(p)
         assert rep.n == ceg.n == 30
         assert rep.mard_pct < 5.0
         assert ceg.percentages["A"] >= 75.0

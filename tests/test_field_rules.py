@@ -17,6 +17,7 @@ from glucokit.evaluation import MetricsReport, PairedReadings
 from glucokit.regressors import (
     N_FEATURES, DnnTrainConfig, KernelSpec, Mpr3Model, Standardizer, model_from_dict,
 )
+from glucokit.regressors.io import ModelDocument
 from glucokit.telemetry import ReadingRecord, RetryPolicy
 
 # a valid instance of every Checked dataclass
@@ -34,6 +35,7 @@ VALID = {
     KernelSpec: lambda: KernelSpec("gaussian", 1.0),
     DnnTrainConfig: DnnTrainConfig,
     RetryPolicy: RetryPolicy,
+    ModelDocument: lambda: ModelDocument("glucokit-model", 1, "mpr3", "mpr3", "serum", {}, {}),
     ReadingRecord: lambda: ReadingRecord("r-1", "p-1", "2026-02-01T08:00:00Z",
                                          GlucoseValue(100.0, "capillary"), "mpr3:capillary", "d-1"),
 }

@@ -111,7 +111,7 @@ class TestMalformedDocuments:
             model_from_dict(doc)
 
     def test_non_dict_rejected(self):
-        with pytest.raises(DataError, match="format marker"):
+        with pytest.raises(DataError, match="model: wants an object"):
             model_from_dict(["not", "a", "model"])
 
     @pytest.mark.parametrize("where", ["weights", "biases"])

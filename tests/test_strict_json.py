@@ -101,6 +101,8 @@ BAD_DOCUMENTS = {
     "no-spec": ("mpr3", drop, "spec"),
     "no-metadata": ("mpr3", drop, "metadata"),
     "unknown-top-level-key": ("mpr3", dict.update, {"surprise": 1}),
+    "version-true": ("mpr3", set_leaf("version"), lambda v: True),
+    "version-float": ("mpr3", set_leaf("version"), float),
 }
 
 

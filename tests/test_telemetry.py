@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import urllib.request
 
 import numpy as np
 import pytest
@@ -893,19 +892,12 @@ class TestSync:
                 delays[run] = seen
         assert delays["x"] == delays["y"] and len(delays["x"]) == 2
 
-    def test_control_surface_over_http(self, queue, endpoint):
+    def test_control_surface_in_process(self, queue, endpoint):
         queue.enqueue(record(0))
-        req = urllib.request.Request(
-            endpoint.url + "/control/fail-next",
-            data=json.dumps({"count": 1}).encode(), method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(req) as resp:
-            assert json.loads(resp.read())["ok"] is True
+        endpoint.faults["fail_next"] = 1
         stats = sync(queue, endpoint.url, sleep_fn=no_sleep)
         assert stats.uploaded == 1 and stats.attempts == 2
-        with urllib.request.urlopen(endpoint.url + "/control/store") as resp:
-            body = json.loads(resp.read())
+        body = endpoint.snapshot()
         assert body["count"] == 1 and body["ids"] == ["r-0000"]
 
     def test_non_json_reply_is_transient(self, queue, endpoint, monkeypatch):
@@ -1009,37 +1001,28 @@ class TestMockEndpointRecordRule:
 
 
 class TestControlBodies:
-    @pytest.mark.parametrize("path, body", [
-        ("/control/latency", "[1, 2]"),
-        ("/control/fail-next", '"x"'),
-        ("/control/fail-next", '{"count": "two"}'),
-        ("/control/reject-next", '{"count": true}'),
-        ("/control/drop-next", '{"count": -1}'),
-        ("/control/fail-next", "not json"),
+    """A malformed body draws a 404 on a path the mock does not serve and a 400
+    on /v1/readings; either way the connection stays usable."""
+
+    @pytest.mark.parametrize("body", [
+        "[1, 2]", '"x"', '{"count": "two"}', '{"count": true}', '{"count": -1}', "not json",
     ], ids=["array", "string", "text-count", "true-count", "negative-count", "not-json"])
-    def test_bad_body_is_400_and_keeps_the_connection(self, endpoint, path, body):
+    def test_bad_body_is_400_and_keeps_the_connection(self, endpoint, body):
         before = dict(endpoint.faults)
         host, port = endpoint.url.removeprefix("http://").split(":")
         conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        replies = []
         try:
-            conn.request("POST", path, body, {"Content-Type": "application/json"})
-            with conn.getresponse() as resp:
-                assert resp.status == 400
-                assert "count" in json.loads(resp.read())["error"]
-            conn.request("GET", "/control/store")  # same connection, still served
-            with conn.getresponse() as resp:
-                assert resp.status == 200 and json.loads(resp.read())["count"] == 0
+            for path, sent in (("/control/fail-next", body), ("/v1/readings", body),
+                               ("/v1/readings", json.dumps(record(0).to_wire()))):
+                conn.request("POST", path, sent, {"Content-Type": "application/json"})
+                with conn.getresponse() as resp:
+                    replies.append((resp.status, json.loads(resp.read())))
         finally:
             conn.close()
+        assert replies[0] == (404, {"error": "no such path /control/fail-next"})
+        assert replies[1][0] == 400
+        assert replies[2] == (200, {"ack": "r-0000"})  # same connection, still served
         assert endpoint.faults == before
+        assert endpoint.snapshot()["ids"] == ["r-0000"]
 
-    def test_count_defaults_to_one(self, endpoint):
-        host, port = endpoint.url.removeprefix("http://").split(":")
-        conn = http.client.HTTPConnection(host, int(port), timeout=5)
-        try:
-            conn.request("POST", "/control/reject-next", "{}")
-            with conn.getresponse() as resp:
-                assert resp.status == 200 and json.loads(resp.read()) == {"ok": True}
-        finally:
-            conn.close()
-        assert endpoint.faults["reject_next"] == 1
