@@ -39,7 +39,7 @@ of the family's specs and agrees with the params. from_params reads params
 with data.json_reader too. At both levels unknown keys, leaves of the wrong
 JSON type and integers beyond float range are DataErrors, and a missing key
 is named. FamilyModel then checks that x_scaler scales the 3 channels and
-y_scaler the one response.
+y_scaler the one response, and SvrModel that eps >= 0 and C > 0.
 """
 
 from __future__ import annotations

@@ -113,6 +113,7 @@ class SvrModel(FamilyModel):
         finite = np.isfinite(beta).all() and np.isfinite(inputs).all()
         if not (finite and all(map(math.isfinite, (self.bias, self.eps, self.c)))):
             raise DataError("svr model has non-finite parameters")
+        _check_hyperparams(self.eps, self.c)
         if (np.abs(beta) > self.c * (1 + 1e-9)).any():
             raise DataError("dual coefficient exceeds box constraint C")
         object.__setattr__(self, "_beta", beta)
@@ -128,10 +129,7 @@ class SvrModel(FamilyModel):
         eps_def, c_def = default_hyperparams(ys)
         eps = eps_def if eps is None else float(eps)
         c = c_def if c is None else float(c)
-        if eps < 0:
-            raise DataError(f"eps must be >= 0, got {eps}")
-        if c <= 0:
-            raise DataError(f"C must be > 0, got {c}")
+        _check_hyperparams(eps, c)
         K = kernel_matrix(kernel, Xs)
         _check_psd(K)
         beta, bias, _ = _solve_smo(K, ys, eps, c, KKT_TOL, MAX_SMO_ITERS)
@@ -149,6 +147,14 @@ class SvrModel(FamilyModel):
     def decision(self, Z: np.ndarray) -> np.ndarray:
         """Standardized-space f(z) = sum b_i k(x_i, z) + bias, one per row of Z."""
         return kernel_matrix(self.kernel, Z, self._inputs) @ self._beta + self.bias
+
+
+def _check_hyperparams(eps: float, c: float) -> None:
+    """The rule a fit's and a loaded model's eps and C both keep."""
+    if eps < 0:
+        raise DataError(f"eps must be >= 0, got {eps}")
+    if c <= 0:
+        raise DataError(f"C must be > 0, got {c}")
 
 
 def default_hyperparams(y_std: np.ndarray) -> tuple[float, float]:

@@ -123,7 +123,7 @@ def svr_params(draw, spec):
     kernel = FAMILIES["svr"].specs[spec]["kernel"]
     return {"kernel": {"kind": kernel.kind, "scale": kernel.scale},
             "beta": draw(st.lists(st.floats(-c, c), min_size=n, max_size=n)),
-            "bias": draw(numbers), "eps": draw(numbers), "c": c,
+            "bias": draw(numbers), "eps": draw(st.floats(min_value=0.0, **_finite)), "c": c,
             "train_inputs": draw(st.lists(st.lists(numbers, min_size=3, max_size=3),
                                           min_size=n, max_size=n)),
             "x_scaler": draw(scaler(3)), "y_scaler": draw(scaler(1))}

@@ -82,6 +82,7 @@ BAD_DOCUMENTS = {
     "svr-beta-strings": ("svr:linear", set_leaf("params", "beta"),
                          lambda beta: [str(b) for b in beta]),
     "svr-bias-text": ("svr:linear", set_leaf("params", "bias"), lambda v: "0.25"),
+    "svr-eps-negative": ("svr:linear", set_leaf("params", "eps"), lambda v: -5.0),
     "dnn-weight-true": ("dnn", set_leaf("params", "weights", 0, 0, 0), lambda v: True),
     "dnn-width-float": ("dnn", set_leaf("params", "widths", 1), float),
     "kind-plasma": ("mpr3", set_leaf("glucose_kind"), lambda v: "plasma"),
