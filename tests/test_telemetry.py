@@ -6,6 +6,7 @@ import http.client
 import json
 import os
 import shutil
+import socket
 import stat
 import subprocess
 import sys
@@ -973,6 +974,20 @@ class TestMockEndpointFraming:
         assert replies[0][0] == status
         assert replies[1] == (200, {"ack": "r-0001"})
         assert endpoint.snapshot()["ids"] == ["r-0001"]
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_unframeable_body_is_400_and_closes_the_connection(self, endpoint, length):
+        host, port = endpoint.url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(f"POST /v1/readings HTTP/1.1\r\nHost: {host}\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(4096):  # until the server closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body) == {"error": "body is not valid JSON"}
+        assert endpoint.snapshot()["count"] == 0
 
 
 class TestMockEndpointRecordRule:
