@@ -221,13 +221,17 @@ def _post_record(link: _Exchange, body: bytes, reading_id: str) -> str:
 def sync(queue: UploadQueue, endpoint: str, retry: RetryPolicy | None = None, *,
          timeout: float = 10.0, sleep_fn=time.sleep,
          rng: np.random.Generator | None = None) -> SyncStats:
-    """Upload every pending record in order; partial progress is durable.
+    """Upload every pending record in order.
 
     Stops early when one record exhausts its attempts (the endpoint is
-    presumed down); whatever was acknowledged stays acknowledged. Every
-    attempt goes over one HTTP/1.1 keep-alive connection, reopened on the
-    next attempt after a failure or a server-side close; `timeout` applies
-    to each socket operation.
+    presumed down); whatever was acknowledged stays acknowledged. Each dead
+    letter is fsynced as it is written. The acks are committed with one
+    fsync when the run ends, however it ends, so once sync returns or raises
+    its progress is durable. A power loss before then loses at most this
+    run's acks: the next sync re-posts those records, and the endpoint
+    deduplicates them on reading_id. Every attempt goes over one HTTP/1.1
+    keep-alive connection, reopened on the next attempt after a failure or a
+    server-side close; `timeout` applies to each socket operation.
     """
     retry = retry or RetryPolicy()
     rng = rng or np.random.default_rng()
@@ -256,6 +260,7 @@ def sync(queue: UploadQueue, endpoint: str, retry: RetryPolicy | None = None, *,
                 break  # attempts exhausted: the endpoint is presumed down
     finally:
         link.close()
+        queue.commit()
     # every record before the one that stopped the run was acked or dead-lettered
     return SyncStats(uploaded=uploaded, dead_lettered=dead,
                      remaining=len(records) - uploaded - dead, attempts=attempts_total)

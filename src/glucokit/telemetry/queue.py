@@ -11,17 +11,23 @@ Directory layout:
                           open queues
 
 A record is pending iff it appears in queue.log and its id is in neither
-acked.log nor deadletter.log. Every append is flushed and fsynced before the
-call returns, so an enqueue or ack that returned survives a crash. A torn
-final line (no trailing newline, left by a crash mid-append) is ignored on
-open; a malformed line that is not the final one means real corruption and
+acked.log nor deadletter.log. Every append is flushed before the call returns,
+so an enqueue, ack or dead letter that returned survives a crash of the
+process. Enqueues and dead letters are also fsynced before they return, since
+each is then a record's only copy, so they survive a power loss too. Acks are
+group-committed: commit() fsyncs acked.log once, and sync and close call it,
+so every ack is durable once the sync that made it has returned. A power loss
+mid-sync can lose only that sync's acks; their records are pending again and
+the next sync re-posts them, which the endpoint deduplicates on reading_id. A
+torn final line (no trailing newline, left by a crash mid-append) is ignored
+on open; a malformed line that is not the final one means real corruption and
 is an error. Each append holds an exclusive flock on its log while it checks
 the tail and writes, so a torn tail it sees was left by a crash, not by
 another queue's append in flight. Before appending to a log that ends in a
 torn line, a queue cuts the fragment, or the new line would join it; it does
-so only when no other queue has the directory open (see below), and
-otherwise refuses the append with a DataError, changing no file. An open
-alone never rewrites a log.
+so only when no other queue has the directory open (see below), and otherwise
+refuses the append with a DataError, changing no file. An open alone never
+rewrites a log.
 
 An open decodes and validates every complete line of all three logs: each
 queue.log line and dead letter is read as a ReadingRecord, and only the
@@ -183,6 +189,7 @@ class UploadQueue:
         # readable too, so an append can check the last byte
         self._logs = {name: open(self._path(name), "a+b")
                       for name in (QUEUE_LOG, ACKED_LOG, DEADLETTER_LOG)}
+        self._uncommitted = False  # an ack appended since the last commit()
 
     def _path(self, name: str) -> str:
         return os.path.join(self.directory, name)
@@ -230,7 +237,7 @@ class UploadQueue:
         if prev is None or ts >= prev:
             self._last_ts[device] = ts
 
-    def _append(self, name: str, text: str) -> None:
+    def _append(self, name: str, text: str, fsync: bool = True) -> None:
         # the log's flock makes a torn tail seen here a crash's, not that of
         # another queue's append still in flight
         fh = self._logs[name]
@@ -245,7 +252,8 @@ class UploadQueue:
                     raise DataError(f"{name} ends in a torn line and another queue has "
                                     f"the directory open; not appending")
             _durable("write", _write, fh, text.encode("utf-8") + b"\n")
-            _durable("fsync", os.fsync, fh.fileno())
+            if fsync:
+                _durable("fsync", os.fsync, fh.fileno())
         finally:
             fcntl.flock(fh, fcntl.LOCK_UN)
 
@@ -290,12 +298,25 @@ class UploadQueue:
             return len(self._pending)
 
     def mark_acked(self, reading_id: str) -> None:
+        """Append the ack and flush it, so other queues see it and a crash of
+        the process keeps it. It is not fsynced: it survives a power loss
+        once commit() returns. Until then a power loss can lose it, and the
+        record is re-posted and deduplicated upstream."""
         with self._lock:
             if reading_id in self._acked:
                 return
-            self._append(ACKED_LOG, reading_id)
+            self._append(ACKED_LOG, reading_id, fsync=False)
             self._acked.add(reading_id)
             self._pending.pop(reading_id, None)
+            self._uncommitted = True
+
+    def commit(self) -> None:
+        """Make every ack this queue has appended durable with one fsync of
+        acked.log; does nothing if there is none since the last commit."""
+        with self._lock:
+            if self._uncommitted:
+                _durable("fsync", os.fsync, self._logs[ACKED_LOG].fileno())
+                self._uncommitted = False
 
     def mark_dead(self, record: ReadingRecord, reason: str) -> None:
         with self._lock:
@@ -384,12 +405,18 @@ class UploadQueue:
         self._logs[QUEUE_LOG] = open(self._path(QUEUE_LOG), "a+b")
 
     def close(self) -> None:
-        """Close the logs and release the flock."""
-        for fh in (*self._logs.values(), self._flock_fh):
-            try:
-                fh.close()
-            except OSError:
-                pass
+        """Commit the acks, then close the logs and release the flock. The
+        logs are closed even if the commit fails, and its OSError is raised;
+        a second close does nothing."""
+        try:
+            self.commit()
+        finally:
+            self._uncommitted = False  # nothing left to commit through closed logs
+            for fh in (*self._logs.values(), self._flock_fh):
+                try:
+                    fh.close()
+                except OSError:
+                    pass
 
     def __enter__(self):
         return self

@@ -14,6 +14,7 @@ from glucokit.errors import DataError
 from glucokit.regressors import dnn as dnn_module, fit_model, load_model
 from glucokit.regressors.dnn import MAX_HIDDEN_LAYERS, MAX_ITERS, MAX_WIDTH
 from glucokit.telemetry import MockEndpoint, UploadQueue
+from glucokit.telemetry import queue as queue_module
 from glucokit.telemetry.client import MAX_ATTEMPTS
 
 
@@ -357,6 +358,22 @@ class TestSync:
         assert err.startswith("glucokit: data error: endpoint") and err.count("\n") == 1
         with UploadQueue(qdir) as q:
             assert q.pending_count() == 1
+
+    def test_failed_commit_exits_2(self, workspace, tmp_path, monkeypatch):
+        qdir = tmp_path / "q"
+        self.enqueue_one(workspace, qdir)
+
+        def durable(op, fn, *args):
+            if op == "fsync":
+                raise OSError(5, "Input/output error")
+            return fn(*args)
+
+        monkeypatch.setattr(queue_module, "_durable", durable)
+        with MockEndpoint() as ep:
+            rc, out, err = run(["sync", "--queue", str(qdir), "--endpoint", ep.url])
+            assert ep.snapshot()["count"] == 1
+        assert (rc, out) == (2, "")
+        assert err == "glucokit: [Errno 5] Input/output error\n"
 
     def test_missing_endpoint_is_usage_error(self, tmp_path):
         rc, _, err = run(["sync", "--queue", str(tmp_path / "q")])

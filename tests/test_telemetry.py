@@ -1,5 +1,7 @@
 """Durable queue semantics, retry policy, and sync against the mock endpoint."""
 
+import collections
+import contextlib
 import dataclasses
 import fcntl
 import http.client
@@ -588,13 +590,19 @@ class TestCrashPoints:
     def run_script(self, d, monkeypatch, crash_at, tear=False):
         """Returns the durability ops done, the ids whose enqueue, ack or
         dead letter returned, and the step the crash cut short (None if
-        the script finished). With tear, a crash at a write lands half of
-        its bytes first."""
+        the script finished). The close that ends the script, with its
+        commit of the acks, is a step too. With tear, a crash at a write
+        lands half of its bytes first."""
         ops, done = [], {"enqueue": set(), "ack": set(), "dead": set()}
         real = queue_module._durable
+        crashed = False
 
         def durable(op, fn, *args):
+            nonlocal crashed
+            if crashed:  # the process is dead: nothing after the crash runs
+                raise Crash(op)
             if len(ops) == crash_at:
+                crashed = True
                 if tear and op == "write":
                     fh, data = args
                     fn(fh, data[:len(data) // 2])
@@ -603,32 +611,38 @@ class TestCrashPoints:
             return real(op, fn, *args)
 
         q = UploadQueue(d)
-        try:
-            with monkeypatch.context() as m:
-                m.setattr(queue_module, "_durable", durable)
+        with monkeypatch.context() as m:
+            m.setattr(queue_module, "_durable", durable)
+            cut = None
+            try:
                 for step, i in self.SCRIPT:
-                    try:
-                        if step == "enqueue":
-                            q.enqueue(timed_record(i))
-                        elif step == "ack":
-                            q.mark_acked(f"r-{i:04d}")
-                        else:
-                            q.mark_dead(timed_record(i), "HTTP 400: bad")
-                    except Crash:
-                        return ops, done, (step, f"r-{i:04d}")
+                    cut = (step, f"r-{i:04d}")
+                    if step == "enqueue":
+                        q.enqueue(timed_record(i))
+                    elif step == "ack":
+                        q.mark_acked(f"r-{i:04d}")
+                    else:
+                        q.mark_dead(timed_record(i), "HTTP 400: bad")
                     done[step].add(f"r-{i:04d}")
-        finally:
-            q.close()
-        return ops, done, None
+                cut = ("close", None)
+                q.close()
+                return ops, done, None
+            except Crash:
+                # release the handles as a dying process would; the close's
+                # commit meets the crash again and does nothing
+                with contextlib.suppress(Crash):
+                    q.close()
+                return ops, done, cut
 
     def test_every_crash_point_recovers(self, tmp_path, monkeypatch, endpoint):
         base = tmp_path / "base"
         enqueued, acked, dead = self.prepare(base)
-        k = 0
+        k, cuts = 0, []
         while True:
             d = tmp_path / f"crash-{k:03d}"
             shutil.copytree(base, d)
             ops, done, cut = self.run_script(d, monkeypatch, crash_at=k)
+            cuts.append(cut)
             all_enqueued, all_acked = enqueued | done["enqueue"], acked | done["ack"]
             # an ack cut short may or may not have landed
             maybe_acked = all_acked | {cut[1]} if cut and cut[0] == "ack" else all_acked
@@ -651,6 +665,7 @@ class TestCrashPoints:
             k += 1
         # the script made every kind of operation, compaction included
         assert {"write", "fsync", "replace", "truncate"} <= set(ops)
+        assert ("close", None) in cuts  # the commit's fsync was a crash point
         assert k == len(ops) and log_ids(d) == ["r-0065", "r-0066", "r-0067", "r-0068"]
 
     def test_every_torn_write_recovers(self, tmp_path, monkeypatch, endpoint):
@@ -683,6 +698,227 @@ class TestCrashPoints:
             with UploadQueue(d) as q:
                 assert [r.reading_id for r in q.pending()] == ["r-0070"], k
                 assert "r-0069" in {r.reading_id for r, _ in q.dead_letters()}, k
+
+
+def count_fsyncs(d, monkeypatch) -> collections.Counter:
+    """From now on, count the queue's fsyncs in directory d by file name
+    ("." for the directory itself)."""
+    counts = collections.Counter()
+    real = queue_module._durable
+
+    def durable(op, fn, *args):
+        if op == "fsync":
+            st = os.fstat(args[0])
+            counts[next((n for n in os.listdir(d) if os.path.samestat(st, os.stat(d / n))),
+                        ".")] += 1
+        return real(op, fn, *args)
+
+    monkeypatch.setattr(queue_module, "_durable", durable)
+    return counts
+
+
+def script_faults(monkeypatch, endpoint, faults: dict) -> dict:
+    """Make the endpoint answer its n-th request since the last reset with
+    the fault faults[n]; returns the dict of faults still to come."""
+    faults = dict(faults)
+    monkeypatch.setattr(endpoint, "take_fault", lambda: faults.pop(endpoint.request_count, None))
+    return faults
+
+
+class TestGroupCommit:
+    """Acks are written and flushed one by one but fsynced once per sync;
+    each enqueue and dead letter keeps its own fsync."""
+
+    def test_sync_fsyncs_acked_log_once(self, tmp_path, monkeypatch, endpoint):
+        d = tmp_path / "q"
+        with UploadQueue(d) as q:
+            for i in range(5):
+                q.enqueue(record(i))
+            counts = count_fsyncs(d, monkeypatch)
+            assert sync(q, endpoint.url, sleep_fn=no_sleep).uploaded == 5
+            assert counts == {ACKED_LOG: 1}
+        assert counts == {ACKED_LOG: 1}  # close finds nothing left to commit
+
+    def test_sync_that_acks_nothing_fsyncs_no_ack(self, tmp_path, monkeypatch, endpoint):
+        d = tmp_path / "q"
+        with UploadQueue(d) as q:
+            counts = count_fsyncs(d, monkeypatch)
+            assert sync(q, endpoint.url, sleep_fn=no_sleep).drained()  # nothing pending
+            assert counts == {}
+            for i in range(3):
+                q.enqueue(record(i))
+            assert counts == {QUEUE_LOG: 3}  # one fsync per enqueue
+            counts.clear()
+            endpoint.faults["reject_next"] = 3
+            stats = sync(q, endpoint.url, sleep_fn=no_sleep)
+            assert (stats.uploaded, stats.dead_lettered) == (0, 3)
+            assert counts == {DEADLETTER_LOG: 3}
+        assert counts == {DEADLETTER_LOG: 3}
+
+    def test_sync_commits_when_it_raises(self, tmp_path, monkeypatch, endpoint):
+        d = tmp_path / "q"
+
+        def interrupt(_):
+            raise KeyboardInterrupt
+
+        with UploadQueue(d) as q:
+            for i in range(4):
+                q.enqueue(record(i))
+            counts = count_fsyncs(d, monkeypatch)
+            script_faults(monkeypatch, endpoint, {3: "fail_next"})
+            with pytest.raises(KeyboardInterrupt):  # at the backoff after two acks
+                sync(q, endpoint.url, sleep_fn=interrupt)
+            assert counts == {ACKED_LOG: 1} and q.acked_count() == 2
+
+    def test_commit_and_close_make_acks_durable(self, tmp_path, monkeypatch):
+        d = tmp_path / "q"
+        with UploadQueue(d) as q:
+            for i in range(4):
+                q.enqueue(record(i))
+            counts = count_fsyncs(d, monkeypatch)
+            for i in range(3):
+                q.mark_acked(f"r-{i:04d}")
+            assert counts == {}
+            q.commit()
+            q.commit()  # nothing new to commit
+            assert counts == {ACKED_LOG: 1}
+            q.mark_acked("r-0003")
+        assert counts == {ACKED_LOG: 2}  # close committed the last ack
+        with UploadQueue(d) as q:
+            assert q.acked_count() == 4 and q.pending() == []
+
+    def test_failed_commit_raises_from_close_and_releases_the_queue(self, tmp_path, monkeypatch):
+        d = tmp_path / "q"
+        q = UploadQueue(d)
+        q.enqueue(record(1))
+
+        def durable(op, fn, *args):
+            raise OSError(5, "Input/output error")
+
+        q.mark_acked("r-0001")
+        monkeypatch.setattr(queue_module, "_durable", durable)
+        with pytest.raises(OSError, match="Input/output error"):
+            q.close()
+        q.close()  # the logs are closed already: nothing to do
+        monkeypatch.undo()
+        with UploadQueue(d) as other:
+            assert other.compact()  # the failed close released its flock
+            assert other.pending() == []  # the ack was written before the fsync failed
+
+
+class TestPowerLoss:
+    """A power loss keeps of each file only what an fsync made durable: the
+    run is cut at its k-th durability operation, for every k, and then each
+    file in the queue is cut back to its length at its last fsync, or its
+    later bytes are zero-filled, as a file system may leave them. A rename
+    stays made (the queue fsyncs the directory right after each). Acks are
+    fsynced once per sync, so a power loss mid-sync can forget that sync's
+    acks: their records must be pending again, and the next sync must leave
+    the endpoint's store holding each reading exactly once."""
+
+    N = 10
+    # request number -> the mock's fault for it. Record 3 is rejected and
+    # dead-lettered; record 6's first attempt gets a 503, and the retry's
+    # backoff enqueues a reading (after six acks, so with COMPACT_AT at 4
+    # the enqueue compacts first); record 8's connection is cut twice, so the
+    # drain stops with records 8 and 9 left, after one more enqueue
+    FAULTS = {4: "reject_next", 7: "fail_next", 10: "drop_next", 11: "drop_next"}
+
+    def run_sync(self, d, monkeypatch, endpoint, lose_at):
+        """Sync the queue in d with the power lost at durability operation
+        lose_at, or just after the sync returns if it makes fewer. Returns
+        the durability ops done, the ids enqueued during the sync, the stats
+        (None if the power was lost mid-sync) and each file's length at its
+        last fsync."""
+        synced = {(st.st_dev, st.st_ino): st.st_size  # the copied queue is durable
+                  for st in (os.stat(p) for p in d.iterdir())}
+        ops, enqueued, lost = [], [], False
+        real = queue_module._durable
+
+        def durable(op, fn, *args):
+            nonlocal lost
+            if lost or len(ops) == lose_at:
+                lost = True
+                raise Crash(op)
+            ops.append(op)
+            out = real(op, fn, *args)
+            st = os.fstat(args[0]) if op == "fsync" else None
+            if st and stat.S_ISREG(st.st_mode):
+                synced[st.st_dev, st.st_ino] = st.st_size
+            return out
+
+        def backoff(_):
+            rec = timed_record(100 + len(enqueued))
+            q.enqueue(rec)
+            enqueued.append(rec.reading_id)
+
+        faults = script_faults(monkeypatch, endpoint, self.FAULTS)
+        q = UploadQueue(d)
+        with monkeypatch.context() as m:
+            m.setattr(queue_module, "_durable", durable)
+            try:
+                stats = sync(q, endpoint.url, RetryPolicy(max_attempts=2), sleep_fn=backoff)
+            except Crash:
+                stats = None
+            lost = True  # if the sync returned, the power goes before the close
+            with contextlib.suppress(Crash):
+                q.close()
+        faults.clear()
+        return ops, enqueued, stats, synced
+
+    @staticmethod
+    def lose_power(d, synced, zero_fill):
+        for path in d.iterdir():
+            st = os.stat(path)
+            keep = min(synced.get((st.st_dev, st.st_ino), 0), st.st_size)
+            with open(path, "r+b") as fh:
+                if zero_fill:
+                    fh.seek(keep)
+                    fh.write(bytes(st.st_size - keep))
+                else:
+                    fh.truncate(keep)
+
+    @pytest.mark.parametrize("zero_fill", [False, True], ids=["cut", "zero-filled"])
+    @pytest.mark.parametrize("compact", [False, True], ids=["append", "compacting"])
+    def test_every_power_loss_point_recovers(self, tmp_path, monkeypatch, endpoint,
+                                             compact, zero_fill):
+        if compact:
+            monkeypatch.setattr(queue_module, "COMPACT_AT", 4)
+        base = tmp_path / "base"
+        with UploadQueue(base) as q:
+            for i in range(self.N):
+                q.enqueue(timed_record(i))
+        k = 0
+        while True:
+            d = tmp_path / f"loss-{k:03d}"
+            shutil.copytree(base, d)
+            endpoint.reset()
+            ops, added, stats, synced = self.run_sync(d, monkeypatch, endpoint, lose_at=k)
+            stored = set(endpoint.snapshot()["ids"])
+            self.lose_power(d, synced, zero_fill)
+            enqueued = {f"r-{i:04d}" for i in range(self.N)} | set(added)
+            with UploadQueue(d) as q:
+                pending = [r.reading_id for r in q.pending()]
+                dead = {r.reading_id for r, _ in q.dead_letters()}
+                # every reading is pending, acked or dead, unless a compaction
+                # dropped it after its ack, so after the endpoint stored it
+                gone = enqueued - q.known_ids() - dead
+                assert gone <= stored and (compact or not gone), k
+                assert dead <= {"r-0003"}, k
+                if stats is not None:  # the sync returned: all it did is durable
+                    assert (stats.uploaded, stats.dead_lettered, stats.remaining) == (7, 1, 2), k
+                    assert pending == ["r-0008", "r-0009", "r-0100", "r-0101"], k
+                    assert dead == {"r-0003"}, k
+                assert sync(q, endpoint.url, sleep_fn=no_sleep).drained(), k
+            snap = endpoint.snapshot()
+            assert sorted(snap["ids"]) == sorted(enqueued - dead), k
+            assert all(rec == timed_record(int(rec["reading_id"][2:])).to_wire()
+                       for rec in snap["records"]), k
+            if stats is not None:
+                break  # the sync made fewer than k + 1 operations
+            k += 1
+        assert k == len(ops) and ops[-1] == "fsync"  # the commit
+        assert ("replace" in ops) == compact
 
 
 # one append to each log
