@@ -17,8 +17,8 @@ __all__ = [
     "UploadQueue", "sync",
 ]
 
-# the client loads http.client and the mock endpoint http.server; importing
-# them on first use keeps both out of every command but sync
+# the client, which the mock endpoint imports too, loads http.client;
+# importing them on first use keeps it out of every command but sync
 _LAZY = {"RetryPolicy": "client", "SyncStats": "client", "sync": "client",
          "MockEndpoint": "mockserver"}
 

@@ -89,6 +89,31 @@ def _connection(endpoint: str, timeout: float) -> "_Exchange":
 _MAX_LINE, _MAX_HEADERS = 65536, 100
 
 
+class FramingError(_Transient):
+    """Bytes from the peer that cannot be framed as an HTTP/1.1 message."""
+
+
+def read_line(fp) -> bytes:
+    """One line of a message head, at most _MAX_LINE bytes with its end."""
+    line = fp.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise FramingError(f"line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def read_fields(fp) -> list[tuple[bytes, bytes]]:
+    """A header block up to its blank line or EOF, as (name, value) pairs
+    stripped and lowercased, at most _MAX_HEADERS of them."""
+    fields = []
+    for _ in range(_MAX_HEADERS + 1):
+        line = read_line(fp)
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, _, value = line.partition(b":")
+        fields.append((name.strip().lower(), value.strip().lower()))
+    raise FramingError(f"more than {_MAX_HEADERS} headers")
+
+
 class _Exchange:
     """POSTs over one keep-alive connection. The HTTPConnection only opens
     the socket (TCP_NODELAY, TLS for https, the per-operation timeout); each
@@ -133,16 +158,10 @@ class _Exchange:
             self._reader = None
         self._conn.close()
 
-    def _line(self) -> bytes:
-        line = self._reader.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise _Transient(f"reply line longer than {_MAX_LINE} bytes")
-        return line
-
     def _read_reply(self) -> tuple[int, str, bytes, bool]:
         status = 100
         while status < 200:
-            line = self._line()
+            line = read_line(self._reader)
             if not line:
                 raise _Transient("endpoint closed the connection without a reply")
             parts = line.split(None, 2)
@@ -152,20 +171,13 @@ class _Exchange:
             status = int(parts[1])
             reason = parts[2].strip().decode("latin-1") if len(parts) > 2 else ""
             close, length, chunked = parts[0] != b"HTTP/1.1", None, False
-            for _ in range(_MAX_HEADERS + 1):
-                line = self._line()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.partition(b":")
-                name, value = name.strip().lower(), value.strip().lower()
+            for name, value in read_fields(self._reader):
                 if name == b"content-length":
                     length = value
                 elif name == b"transfer-encoding":
                     chunked = value.rsplit(b",", 1)[-1].strip() == b"chunked"
                 elif name == b"connection":
                     close = close or b"close" in [t.strip() for t in value.split(b",")]
-            else:
-                raise _Transient(f"reply has more than {_MAX_HEADERS} headers")
         if status in (204, 304):
             reply = b""
         elif chunked:
@@ -187,7 +199,7 @@ class _Exchange:
     def _read_chunked(self) -> bytes:
         chunks = []
         while True:
-            size = self._line().split(b";", 1)[0].strip()
+            size = read_line(self._reader).split(b";", 1)[0].strip()
             if not re.fullmatch(rb"[0-9A-Fa-f]+", size):
                 raise _Transient(f"bad chunk size {size[:20]!r}")
             n = int(size, 16)
@@ -196,8 +208,7 @@ class _Exchange:
             chunks.append(self._read(n))
             if self._read(2) != b"\r\n":
                 raise _Transient("chunk not followed by CRLF")
-        while self._line() not in (b"\r\n", b"\n", b""):  # trailer fields
-            pass
+        read_fields(self._reader)  # trailer fields
         return b"".join(chunks)
 
 

@@ -316,10 +316,8 @@ class TestDeeplyNestedInputs:
 
     def test_endpoint_reply_is_transient(self, tmp_path, monkeypatch):
         def deep_reply(handler, code, payload):
-            handler.send_response(code)
-            handler.send_header("Content-Length", str(len(DEEP)))
-            handler.end_headers()
-            handler.wfile.write(DEEP.encode())
+            handler.wfile.write(b"HTTP/1.1 %d OK\r\nContent-Length: %d\r\n\r\n%s"
+                                % (code, len(DEEP), DEEP.encode()))
 
         with MockEndpoint() as endpoint, UploadQueue(tmp_path / "q") as queue:
             queue.enqueue(ReadingRecord("r-1", "p-1", "2026-01-31T08:15:00Z",

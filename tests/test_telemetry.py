@@ -9,6 +9,7 @@ import json
 import os
 import shutil
 import socket
+import socketserver
 import stat
 import subprocess
 import sys
@@ -1141,10 +1142,7 @@ class TestSync:
         self.fill(queue, 1)
 
         def plain_text_reply(handler, code, payload):
-            handler.send_response(code)
-            handler.send_header("Content-Length", "3")
-            handler.end_headers()
-            handler.wfile.write(b"ok!")
+            handler.wfile.write(b"HTTP/1.1 %d OK\r\nContent-Length: 3\r\n\r\nok!" % code)
 
         monkeypatch.setattr(endpoint._server.RequestHandlerClass, "_reply", plain_text_reply)
         stats = sync(queue, endpoint.url, RetryPolicy(max_attempts=2), sleep_fn=no_sleep)
@@ -1224,6 +1222,133 @@ class TestMockEndpointFraming:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert json.loads(body) == {"error": "body is not valid JSON"}
         assert endpoint.snapshot()["count"] == 0
+
+
+def raw_post(i, path=b"/v1/readings", version=b"HTTP/1.1", head=b"") -> bytes:
+    """The bytes of a POST of record i, with extra header lines in head."""
+    body = json.dumps(record(i).to_wire()).encode()
+    return b"POST %s %s\r\n%sContent-Length: %d\r\n\r\n%s" % (path, version, head, len(body), body)
+
+
+def read_reply(rf):
+    """(status, {lowercased header name: value}, body) of the next reply, or
+    None once the server has closed the connection."""
+    try:
+        line = rf.readline()
+    except ConnectionResetError:
+        return None
+    if not line:
+        return None
+    headers = {}
+    while (field := rf.readline()) not in (b"\r\n", b""):
+        name, _, value = field.partition(b":")
+        headers[name.strip().lower()] = value.strip()
+    return int(line.split()[1]), headers, rf.read(int(headers.get(b"content-length", 0)))
+
+
+class TestMockEndpointWire:
+    """Raw requests to the mock: each one's status codes, and whether the
+    connection stays open, shown by a follow-up POST on it being acked."""
+
+    @contextlib.contextmanager
+    def connection(self, endpoint):
+        host, port = endpoint.url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock, \
+                sock.makefile("rb") as rf:
+            yield sock, rf
+
+    def still_open(self, sock, rf) -> bool:
+        try:
+            sock.sendall(raw_post(9))
+        except OSError:
+            return False
+        reply = read_reply(rf)
+        return reply is not None and reply[:1] == (200,)
+
+    def talk(self, endpoint, data: bytes, replies: int = 1):
+        """The statuses and bodies of the replies to data sent in one write,
+        and whether the connection stayed open after them."""
+        with self.connection(endpoint) as (sock, rf):
+            sock.sendall(data)
+            got = [read_reply(rf) for _ in range(replies)]
+            assert None not in got
+            return [(status, body) for status, _, body in got], self.still_open(sock, rf)
+
+    def assert_error_reply(self, endpoint, data, status):
+        [(got, body)], still_open = self.talk(endpoint, data)
+        assert (got, still_open) == (status, False)
+        assert set(json.loads(body)) == {"error"}
+
+    # requests sent in full, with nothing after the point where the mock
+    # stops reading, so its close cannot reset the connection under the reply
+    def test_request_line_over_65536_bytes_is_414_and_closes(self, endpoint):
+        self.assert_error_reply(endpoint, b"POST /" + b"a" * (65537 - 6), 414)
+
+    def test_header_line_over_65536_bytes_is_431_and_closes(self, endpoint):
+        line = b"X-Long: " + b"a" * (65537 - 8)
+        self.assert_error_reply(endpoint, b"POST /v1/readings HTTP/1.1\r\n" + line, 431)
+
+    def test_over_100_headers_is_431_and_closes(self, endpoint):
+        self.assert_error_reply(
+            endpoint, b"POST /v1/readings HTTP/1.1\r\n" + b"X-H: 1\r\n" * 101, 431)
+
+    def test_lines_of_65536_bytes_are_admitted(self, endpoint):
+        path = b"/" + b"a" * (65536 - len(b"POST / HTTP/1.1\r\n"))
+        field = b"X-Long: " + b"a" * (65536 - len(b"X-Long: \r\n")) + b"\r\n"
+        [(status, _)], still_open = self.talk(endpoint, raw_post(0, path=path))
+        assert (status, still_open) == (404, True)
+        [(status, body)], still_open = self.talk(endpoint, raw_post(0, head=field))
+        assert (status, json.loads(body), still_open) == (200, {"ack": "r-0000"}, True)
+
+    def test_get_is_501_and_closes(self, endpoint):
+        self.assert_error_reply(endpoint, b"GET /v1/readings HTTP/1.1\r\nHost: h\r\n\r\n", 501)
+
+    @pytest.mark.parametrize("data", [raw_post(0, version=b"HTTP/1.0"),
+                                      raw_post(0, head=b"Connection: close\r\n")],
+                             ids=["http-1.0", "connection-close"])
+    def test_reply_then_close(self, endpoint, data):
+        [(status, body)], still_open = self.talk(endpoint, data)
+        assert (status, json.loads(body), still_open) == (200, {"ack": "r-0000"}, False)
+
+    def test_expect_100_continue(self, endpoint):
+        head, _, body = raw_post(0, head=b"Expect: 100-continue\r\n").partition(b"\r\n\r\n")
+        with self.connection(endpoint) as (sock, rf):
+            sock.sendall(head + b"\r\n\r\n")
+            interim = read_reply(rf)
+            sock.sendall(body)
+            status, _, reply = read_reply(rf)
+            assert interim[0] == 100
+            assert (status, json.loads(reply)) == (200, {"ack": "r-0000"})
+            assert self.still_open(sock, rf)
+
+    def test_pipelined_requests_get_replies_in_order(self, endpoint):
+        replies, still_open = self.talk(endpoint, raw_post(0) + raw_post(1), replies=2)
+        assert [(s, json.loads(b)) for s, b in replies] == [
+            (200, {"ack": "r-0000"}), (200, {"ack": "r-0001"})]
+        assert still_open
+        assert endpoint.snapshot()["ids"] == ["r-0000", "r-0001", "r-0009"]
+
+    @pytest.mark.parametrize("fault, path, status", [
+        (None, b"/v1/readings", 200), ("fail_next", b"/v1/readings", 503),
+        (None, b"/other", 404)], ids=["200", "503", "404"])
+    def test_each_reply_is_one_write(self, endpoint, monkeypatch, fault, path, status):
+        writes = []
+        write = socketserver._SocketWriter.write
+
+        def counting(self, data):
+            writes.append(bytes(data))
+            return write(self, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", counting)
+        if fault:
+            endpoint.faults[fault] = 1
+        with self.connection(endpoint) as (sock, rf):
+            sock.sendall(raw_post(0, path=path))
+            got, headers, _ = read_reply(rf)
+            assert got == status
+            assert len(writes) == 1  # the whole reply was read, so it is all written
+            assert set(headers) == {b"content-type", b"content-length"}
+            assert self.still_open(sock, rf)
 
 
 class TestMockEndpointRecordRule:
