@@ -42,7 +42,8 @@ class RetryPolicy(Checked):
 
     def delay(self, attempt: int, rng: np.random.Generator) -> float:
         base = min(self.base_delay * (2.0 ** attempt), self.max_delay)
-        return base * (1.0 + self.jitter * float(rng.uniform(-1.0, 1.0)))
+        # -1 + 2 * random() is the very draw uniform(-1, 1) makes, a third the cost
+        return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,9 @@ def _connection(endpoint: str, timeout: float) -> "_Exchange":
         raise DataError(f"endpoint {endpoint!r}: {exc}") from None
 
 
-# http.client's caps on one status or header line and on the header count
-_MAX_LINE, _MAX_HEADERS = 65536, 100
+# http.client's caps on one status or header line and on the header count;
+# and a cap on a reply body, far above any ack or error reply
+_MAX_LINE, _MAX_HEADERS, _MAX_BODY = 65536, 100, 1 << 20
 
 
 class FramingError(_Transient):
@@ -104,14 +106,32 @@ def read_line(fp) -> bytes:
 def read_fields(fp) -> list[tuple[bytes, bytes]]:
     """A header block up to its blank line or EOF, as (name, value) pairs
     stripped and lowercased, at most _MAX_HEADERS of them."""
-    fields = []
-    for _ in range(_MAX_HEADERS + 1):
-        line = read_line(fp)
+    readline, fields = fp.readline, []
+    while len(fields) <= _MAX_HEADERS:
+        line = readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise FramingError(f"line longer than {_MAX_LINE} bytes")
         if line in (b"\r\n", b"\n", b""):
             return fields
-        name, _, value = line.partition(b":")
-        fields.append((name.strip().lower(), value.strip().lower()))
+        name, _, value = line.lower().partition(b":")
+        fields.append((name.strip(), value.strip()))
     raise FramingError(f"more than {_MAX_HEADERS} headers")
+
+
+def _is_status_code(code: bytes) -> bool:
+    """Three ASCII digits, the first not 0: what re.fullmatch(rb"[1-9]\\d\\d")
+    accepts, without the regex."""
+    return len(code) == 3 and code.isdigit() and code[:1] != b"0"
+
+
+def _length(digits: bytes, base: int, room: int) -> int:
+    """A body or chunk length in base 10 or 16 digits, at most room bytes.
+    Past seven significant digits it is too long for any room, and int() is
+    not called: 5,000 decimal digits would raise ValueError."""
+    n = int(digits, base) if len(digits.lstrip(b"0")) <= 7 else room + 1
+    if n > room:
+        raise FramingError(f"reply body over {_MAX_BODY} bytes")
+    return n
 
 
 class _Exchange:
@@ -166,7 +186,7 @@ class _Exchange:
                 raise _Transient("endpoint closed the connection without a reply")
             parts = line.split(None, 2)
             if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
-                    or not re.fullmatch(rb"[1-9]\d\d", parts[1])):
+                    or not _is_status_code(parts[1])):
                 raise _Transient(f"bad status line {line[:80]!r}")
             status = int(parts[1])
             reason = parts[2].strip().decode("latin-1") if len(parts) > 2 else ""
@@ -185,9 +205,11 @@ class _Exchange:
         elif length is not None:
             if not length.isdigit():
                 raise _Transient(f"bad Content-Length {length[:20]!r}")
-            reply = self._read(int(length))
+            reply = self._read(_length(length, 10, _MAX_BODY))
         else:
-            reply, close = self._reader.read(), True
+            reply, close = self._reader.read(_MAX_BODY + 1), True
+            if len(reply) > _MAX_BODY:
+                raise FramingError(f"reply body over {_MAX_BODY} bytes")
         return status, reason, reply, not close
 
     def _read(self, n: int) -> bytes:
@@ -197,14 +219,15 @@ class _Exchange:
         return data
 
     def _read_chunked(self) -> bytes:
-        chunks = []
+        chunks, room = [], _MAX_BODY
         while True:
             size = read_line(self._reader).split(b";", 1)[0].strip()
             if not re.fullmatch(rb"[0-9A-Fa-f]+", size):
                 raise _Transient(f"bad chunk size {size[:20]!r}")
-            n = int(size, 16)
+            n = _length(size, 16, room)
             if n == 0:
                 break
+            room -= n
             chunks.append(self._read(n))
             if self._read(2) != b"\r\n":
                 raise _Transient("chunk not followed by CRLF")
@@ -215,10 +238,10 @@ class _Exchange:
 def _post_record(link: _Exchange, body: bytes, reading_id: str) -> str:
     status, reason, reply = link.post(body)
     if not 200 <= status < 300:
+        if not 400 <= status < 500:  # sync retries it without reading why
+            raise _Transient(f"HTTP {status}")
         detail = reply.decode("utf-8", "replace")[:200]
-        if 400 <= status < 500:
-            raise NetworkError(f"HTTP {status}: {detail or reason}")
-        raise _Transient(f"HTTP {status}: {detail or reason}")
+        raise NetworkError(f"HTTP {status}: {detail or reason}")
     try:
         payload = json.loads(reply.decode("utf-8"))
     except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep

@@ -4,15 +4,17 @@ refuses as transient failures."""
 
 import http.client
 import json
+import re
 import socket
 import threading
 import urllib.parse
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glucokit.data import GlucoseValue
 from glucokit.telemetry import ReadingRecord, RetryPolicy, SyncStats, UploadQueue, sync
-from glucokit.telemetry.client import _connection
+from glucokit.telemetry.client import _connection, _is_status_code
 
 
 def record(i):
@@ -234,6 +236,17 @@ BAD_REPLIES = {
     "101-headers": ok(0, b"X-H: 1\r\n" * 100),
     "short-body": b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n" + b'{"ack": "r-0000"}',
     "bad-content-length": b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n{}",
+    # past int()'s 4,300-digit limit, past an index-sized int, and past memory
+    "5000-digit-content-length": b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n{}"
+                                 % (b"9" * 5000),
+    "1e23-content-length": b"HTTP/1.1 200 OK\r\nContent-Length: 1%s\r\n\r\n{}" % (b"0" * 23),
+    "2e11-content-length": b"HTTP/1.1 200 OK\r\nContent-Length: 200000000000\r\n\r\n{}",
+    "20-hex-digit-chunk": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%s\r\n{}"
+                          % (b"f" * 20),
+    # each chunk fits the 1 MiB cap, the two together do not
+    "chunks-over-cap": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                       b"80000\r\n%s\r\n80001\r\n" % (b" " * 0x80000),
+    "close-delimited-over-cap": b"HTTP/1.0 200 OK\r\n\r\n" + b" " * (1 << 20) + b"{}",
     "bad-chunk-size": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
     "chunk-cut-short": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n20\r\n{}",
     "bad-status-line": b"HTTP/1.1 2000 OK\r\n\r\n",
@@ -250,3 +263,10 @@ def test_bad_reply_is_transient_and_the_next_attempt_reconnects(serve, wire, que
                                                attempts=2)
     assert [len(sent) for sent in wire] == [1, 1] and server.connections == 2
     assert queue.pending() == []
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.binary(max_size=4),
+                 st.text("0123456789\u0663 +-_\n", max_size=4).map(str.encode)))
+def test_status_code_check_is_the_regex(code):
+    assert _is_status_code(code) == bool(re.fullmatch(rb"[1-9]\d\d", code))

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from glucokit.telemetry import (
     UploadQueue,
     sync,
 )
-from glucokit.telemetry import queue as queue_module
+from glucokit.telemetry import mockserver, queue as queue_module
 from glucokit.telemetry.queue import (
     ACKED_LOG, COMPACT_AT, DEADLETTER_LOG, LAST_TIMESTAMPS, QUEUE_LOG, WIRE_FIELDS,
 )
@@ -1209,12 +1210,15 @@ class TestMockEndpointFraming:
         assert replies[1] == (200, {"ack": "r-0001"})
         assert endpoint.snapshot()["ids"] == ["r-0001"]
 
-    @pytest.mark.parametrize("length", ["-1", "abc"])
-    def test_unframeable_body_is_400_and_closes_the_connection(self, endpoint, length):
+    # int() reads +2 and 1_0, but a Content-Length is ASCII digits only
+    @pytest.mark.parametrize("length, body", [("-1", ""), ("abc", ""), ("+2", "{}"),
+                                              ("1_0", "x" * 10)],
+                             ids=["-1", "abc", "+2", "1_0"])
+    def test_unframeable_body_is_400_and_closes_the_connection(self, endpoint, length, body):
         host, port = endpoint.url.removeprefix("http://").split(":")
         with socket.create_connection((host, int(port)), timeout=5) as sock:
             sock.sendall(f"POST /v1/readings HTTP/1.1\r\nHost: {host}\r\n"
-                         f"Content-Length: {length}\r\n\r\n".encode())
+                         f"Content-Length: {length}\r\n\r\n{body}".encode())
             reply = b""
             while chunk := sock.recv(4096):  # until the server closes
                 reply += chunk
@@ -1327,6 +1331,32 @@ class TestMockEndpointWire:
             (200, {"ack": "r-0000"}), (200, {"ack": "r-0001"})]
         assert still_open
         assert endpoint.snapshot()["ids"] == ["r-0000", "r-0001", "r-0009"]
+
+    @pytest.mark.parametrize("fault, statuses, stored", [
+        ("every_other", [503, 400, 503], ["r-0009"]),
+        ("fail_next", [503, 400, 200], ["r-0000", "r-0009"])])
+    def test_body_is_decoded_only_when_the_reading_reaches_the_store(
+            self, endpoint, monkeypatch, fault, statuses, stored):
+        decoded = []
+
+        def loads(text):
+            decoded.append(text)
+            return json.loads(text)
+
+        monkeypatch.setattr(mockserver, "json", types.SimpleNamespace(dumps=json.dumps,
+                                                                      loads=loads))
+        endpoint.faults[fault] = True if fault == "every_other" else 1
+        not_json = b"POST /v1/readings HTTP/1.1\r\nContent-Length: 8\r\n\r\nnot json"
+        with self.connection(endpoint) as (sock, rf):
+            sock.sendall(not_json * 2 + raw_post(0))
+            replies = [read_reply(rf) for _ in statuses]
+            assert [status for status, _, _ in replies] == statuses
+            assert json.loads(replies[1][2]) == {"error": "body is not valid JSON"}
+            # a faulted request's body is read but not decoded
+            assert decoded[0] == "not json"
+            assert len(decoded) == len([s for s in statuses if s != 503])
+            assert self.still_open(sock, rf)
+        assert endpoint.snapshot()["ids"] == stored
 
     @pytest.mark.parametrize("fault, path, status", [
         (None, b"/v1/readings", 200), ("fail_next", b"/v1/readings", 503),
